@@ -42,12 +42,12 @@ int main(int argc, char** argv) {
   ml::JobContext context;
   context.cluster = env->cluster;
   ml::MlJobRunner runner(context);
-  auto ingest = runner.Ingest(&format);
+  auto ingest = runner.IngestColumns(&format);
   if (!ingest.ok()) return 1;
   const double read_seconds = read_watch.ElapsedSeconds();
 
   auto dataset =
-      ml::Dataset::FromRowsAutoFeatures(ingest->dataset, "abandoned");
+      ml::Dataset::FromColumnsAutoFeatures(ingest->dataset, "abandoned");
   if (!dataset.ok()) return 1;
   for (auto& partition : dataset->mutable_partitions()) {
     for (ml::LabeledPoint& point : partition) {

@@ -96,6 +96,14 @@ MUX_BENCH_JSON="$(pwd)/BENCH_pr9.json"
 rm -f "${MUX_BENCH_JSON}"
 SQLINK_BENCH_JSON="${MUX_BENCH_JSON}" "${BUILD_DIR}/bench/bench_mux" --smoke --check
 
+# Benchmark-of-record self-test: builds perfbench/bench_of_record against
+# this tree and runs every workload (Figure 3/4 pipelines, the query server)
+# end to end at 20k carts, checking each result against its correctness
+# oracle, the per-layer metrics, and that a corrupted result is rejected —
+# so a pipeline change cannot silently break the benchmark of record.
+echo "==> benchmark of record self-test (perfbench/selftest.py)"
+python3 perfbench/selftest.py
+
 # Ops-endpoint smoke: start a workload under SQLINK_OPS_PORT, then curl the
 # live endpoints — /metrics must be Prometheus text carrying the planner
 # q-error feedback, /queries and /tracez must be valid JSON — while

@@ -42,7 +42,7 @@ int Run(int64_t rows) {
   {
     StreamTransferOptions options;
     options.splits_per_worker = 2;
-    auto result = StreamingTransfer::Run(engine.get(), query, options);
+    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "transfer: %s\n",
                    result.status().ToString().c_str());
@@ -57,13 +57,15 @@ int Run(int64_t rows) {
   }
 
   // Fault-tolerant transfer (§6): retained logs on the SQL side, one ML
-  // reader drops its connection mid-stream and replays.
+  // reader drops its connection mid-stream and replays. The reader
+  // failpoints probe once per delivery — a whole decoded frame on the
+  // columnar ingest — so they fire after a few frames.
   {
     StreamTransferOptions options;
     options.sink.resilient = true;
     options.reader.recovery_enabled = true;
-    ScopedFailpoint fault("stream.reader.row.split2", "after(99):error(1)");
-    auto result = StreamingTransfer::Run(engine.get(), query, options);
+    ScopedFailpoint fault("stream.reader.row.split2", "after(2):error(1)");
+    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "resilient transfer: %s\n",
                    result.status().ToString().c_str());
@@ -71,9 +73,9 @@ int Run(int64_t rows) {
     }
     std::set<int64_t> ids;
     size_t duplicates = 0;
-    for (const auto& partition : result->dataset.partitions) {
-      for (const Row& row : partition) {
-        if (!ids.insert(row[0].int64_value()).second) ++duplicates;
+    for (const ColumnBatch& partition : result->dataset.partitions) {
+      for (const int64_t id : partition.column(0).ints) {
+        if (!ids.insert(id).second) ++duplicates;
       }
     }
     std::printf("resilient run with injected failure: %zu rows delivered, "
@@ -93,8 +95,8 @@ int Run(int64_t rows) {
     options.sink.heartbeat_ms = 20;
     options.reader.heartbeat_ms = 20;
     options.reader.recovery_enabled = true;
-    ScopedFailpoint fault("stream.reader.kill.split1", "after(99):error(1)");
-    auto result = StreamingTransfer::Run(engine.get(), query, options);
+    ScopedFailpoint fault("stream.reader.kill.split1", "after(2):error(1)");
+    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "recovery transfer: %s\n",
                    result.status().ToString().c_str());
@@ -102,9 +104,9 @@ int Run(int64_t rows) {
     }
     std::set<int64_t> ids;
     size_t duplicates = 0;
-    for (const auto& partition : result->dataset.partitions) {
-      for (const Row& row : partition) {
-        if (!ids.insert(row[0].int64_value()).second) ++duplicates;
+    for (const ColumnBatch& partition : result->dataset.partitions) {
+      for (const int64_t id : partition.column(0).ints) {
+        if (!ids.insert(id).second) ++duplicates;
       }
     }
     std::printf(

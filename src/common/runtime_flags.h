@@ -5,11 +5,12 @@
 
 namespace sqlink {
 
-/// Whether the columnar hot path is enabled (SQLINK_COLUMNAR=on|off,
-/// default on). Gates the sink's columnar frame encoding, the vectorized
-/// transform kernels, and the columnar ML ingest; the row path stays as the
-/// fallback and the two are wire-interoperable per channel (a sink picks one
-/// encoding per query, readers understand both).
+/// Whether the columnar wire path is enabled (SQLINK_COLUMNAR=on|off,
+/// default on). Gates the sink's columnar frame encoding and the stream
+/// reader's whole-frame batch delivery; the row path stays as the fallback
+/// and the two are wire-interoperable per channel (a sink picks one
+/// encoding per query, readers understand both). The coding UDFs and the
+/// ML ingest are columnar in either mode.
 ///
 /// The environment is read once; tests flip the mode in-process with
 /// SetColumnarEnabledForTest.

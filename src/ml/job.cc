@@ -1,5 +1,7 @@
 #include "ml/job.h"
 
+#include <optional>
+
 #include "common/logging.h"
 #include "common/retry_policy.h"
 #include "common/status_macros.h"
@@ -88,6 +90,22 @@ Status ReadSplitColumns(InputFormat* format, const JobContext& context,
   return Status::OK();
 }
 
+/// The ingest phase's instruments, resolved once per ingest.
+struct IngestInstruments {
+  explicit IngestInstruments(MetricsRegistry* registry)
+      : split_micros(registry->GetHistogram("ml.ingest.split_micros")),
+        rows(registry->GetCounter("ml.ingest.rows")),
+        splits(registry->GetCounter("ml.ingest.splits")),
+        local_splits(registry->GetCounter("ml.ingest.local_splits")),
+        recovered_splits(registry->GetCounter("ml.ingest.recovered_splits")) {}
+
+  Histogram* split_micros;
+  Counter* rows;
+  Counter* splits;
+  Counter* local_splits;
+  Counter* recovered_splits;
+};
+
 /// The ingest phase shared by both partition shapes: GetSplits → parallel
 /// read → §6 reassignment → stats. `read_split` consumes one split into one
 /// partition, honoring the reader's resume point.
@@ -123,10 +141,10 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
     }
   }
 
-  Histogram* const split_micros =
+  const std::optional<IngestInstruments> instruments =
       context.metrics != nullptr
-          ? context.metrics->GetHistogram("ml.ingest.split_micros")
-          : nullptr;
+          ? std::optional<IngestInstruments>(std::in_place, context.metrics)
+          : std::nullopt;
   std::vector<Status> statuses(m);
   ParallelFor(m, [&](size_t i) {
     // Pool threads have no open span; parent the per-split read ("one ML
@@ -140,7 +158,7 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
     if (!statuses[i].ok()) split_span.SetError();
     split_span.AddAttribute(
         "rows", static_cast<int64_t>(PartitionRows((*partitions)[i])));
-    if (split_micros != nullptr) split_micros->Record(timer.ElapsedMicros());
+    if (instruments) instruments->split_micros->Record(timer.ElapsedMicros());
   });
 
   // --- §6 split reassignment: failed splits are re-pulled from their
@@ -193,9 +211,7 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
       if (statuses[idx].ok()) {
         if (was_failed) --failed;
         ++stats.recovered_splits;
-        if (context.metrics != nullptr) {
-          context.metrics->Increment("ml.ingest.recovered_splits");
-        }
+        if (instruments) instruments->recovered_splits->Increment();
       } else {
         recover_span.SetError();
         if (!was_failed) ++failed;
@@ -210,11 +226,10 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
   for (const Partition& partition : *partitions) {
     stats.rows += PartitionRows(partition);
   }
-  if (context.metrics != nullptr) {
-    context.metrics->Add("ml.ingest.rows", static_cast<int64_t>(stats.rows));
-    context.metrics->Add("ml.ingest.splits",
-                         static_cast<int64_t>(stats.num_splits));
-    context.metrics->Add("ml.ingest.local_splits", stats.local_splits);
+  if (instruments) {
+    instruments->rows->Add(static_cast<int64_t>(stats.rows));
+    instruments->splits->Add(stats.num_splits);
+    instruments->local_splits->Add(stats.local_splits);
   }
   return stats;
 }

@@ -7,7 +7,11 @@ namespace sqlink::ml {
 
 namespace {
 
-/// Parses each line of a split into a typed row.
+/// Lines per NextBatch: amortizes the batch append into the partition.
+constexpr size_t kTextBatchRows = 4096;
+
+/// Parses each line of a split into a typed row, or a run of lines straight
+/// into the typed column vectors of a batch.
 class TextRecordReader final : public RecordReader {
  public:
   TextRecordReader(std::unique_ptr<DfsLineReader> lines, const CsvCodec* codec,
@@ -15,19 +19,31 @@ class TextRecordReader final : public RecordReader {
       : lines_(std::move(lines)), codec_(codec), schema_(std::move(schema)) {}
 
   Result<bool> Next(Row* out) override {
-    std::string line;
-    if (!lines_->Next(&line)) {
+    if (!lines_->Next(&line_)) {
       RETURN_IF_ERROR(lines_->status());
       return false;
     }
-    ASSIGN_OR_RETURN(*out, codec_->ParseRow(line, *schema_));
+    ASSIGN_OR_RETURN(*out, codec_->ParseRow(line_, *schema_));
     return true;
+  }
+
+  bool SupportsBatches() const override { return true; }
+
+  Result<bool> NextBatch(ColumnBatch* out) override {
+    out->Reset(schema_);
+    out->Reserve(kTextBatchRows);
+    while (out->num_rows() < kTextBatchRows && lines_->Next(&line_)) {
+      RETURN_IF_ERROR(codec_->ParseRowInto(line_, out));
+    }
+    RETURN_IF_ERROR(lines_->status());
+    return !out->empty();
   }
 
  private:
   std::unique_ptr<DfsLineReader> lines_;
   const CsvCodec* codec_;
   SchemaPtr schema_;
+  std::string line_;  // Reused across lines.
 };
 
 }  // namespace

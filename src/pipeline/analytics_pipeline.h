@@ -53,7 +53,9 @@ struct StageTimings {
 };
 
 struct PipelineResult {
-  ml::RowDataset dataset;  ///< The transformed rows, in ML-side memory.
+  /// The transformed data in ML-side memory, one ColumnBatch per ML
+  /// worker: every approach ingests columnar.
+  ml::ColumnDataset dataset;
   RecodeMap recode_map;
   StageTimings timings;
   QueryRewriter::Source source = QueryRewriter::Source::kComputed;

@@ -62,18 +62,14 @@ class BatchToRowIterator final : public RowIterator {
   bool done_ = false;
 };
 
-/// Adapts a row stream to the batch interface (re-batches table-UDF output
-/// back into the vectorized pipeline).
-class RowToBatchIterator final : public BatchIterator {
+/// Push-based consumer of a table UDF's output in the vectorized engine.
+/// Batch-native UDFs hand over whole ColumnBatches (PushBatch, moved, with
+/// the UDF's bound output schema); row-emitting UDFs keep using
+/// RowSink::Push and the sink packs their rows into batches. A UDF may mix
+/// both; output order is push order.
+class BatchSink : public RowSink {
  public:
-  RowToBatchIterator(RowIteratorPtr child, SchemaPtr schema)
-      : child_(std::move(child)), schema_(std::move(schema)) {}
-  Result<bool> Next(ColumnBatch* out) override;
-
- private:
-  RowIteratorPtr child_;
-  SchemaPtr schema_;
-  bool done_ = false;
+  virtual Status PushBatch(ColumnBatch batch) = 0;
 };
 
 }  // namespace sqlink

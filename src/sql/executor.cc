@@ -423,10 +423,53 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   std::vector<int32_t> sel_;
 };
 
-/// Batch-mode UDF pump: the pump thread hands the UDF a columnar input via
-/// ProcessPartitionBatches (batch-capable UDFs consume it directly; others
-/// fall back to the row adapter inside the default implementation), and the
-/// emitted rows are re-batched for the downstream vectorized pipeline.
+/// Pump-side output of a batch-mode table UDF: whole batches pass through
+/// to the queue untouched; rows from row-emitting UDFs (the sink's summary,
+/// recode_assign) are packed into kSqlBatchRows batches first.
+class BatchQueueSink final : public BatchSink {
+ public:
+  BatchQueueSink(BlockingQueue<ColumnBatch>* queue, SchemaPtr schema)
+      : queue_(queue), schema_(std::move(schema)), pending_(schema_) {}
+
+  Status Push(Row row) override {
+    RETURN_IF_ERROR(pending_.AppendRow(row));
+    if (pending_.num_rows() >= kSqlBatchRows) return FlushRows();
+    return Status::OK();
+  }
+
+  Status PushBatch(ColumnBatch batch) override {
+    RETURN_IF_ERROR(FlushRows());  // Keep push order.
+    return Enqueue(std::move(batch));
+  }
+
+  /// Sends the partially packed row batch (end of partition, or before a
+  /// whole batch).
+  Status FlushRows() {
+    if (pending_.empty()) return Status::OK();
+    ColumnBatch packed(schema_);
+    std::swap(packed, pending_);
+    return Enqueue(std::move(packed));
+  }
+
+ private:
+  Status Enqueue(ColumnBatch batch) {
+    if (batch.empty()) return Status::OK();  // Emitted batches are non-empty.
+    if (!queue_->Push(std::move(batch))) {
+      return Status::Cancelled("downstream consumer closed");
+    }
+    return Status::OK();
+  }
+
+  BlockingQueue<ColumnBatch>* queue_;
+  SchemaPtr schema_;
+  ColumnBatch pending_;
+};
+
+/// Batch-mode UDF pump: the pump thread runs ProcessPartitionBatches over
+/// the columnar input and everything the UDF emits reaches this iterator as
+/// ColumnBatches moved through a bounded queue — one handoff per batch, not
+/// per row. The queue holds kUdfQueueCapacity / kSqlBatchRows batches, so
+/// about as many rows are in flight as in the row pump.
 class UdfBatchPartitionIterator final : public BatchIterator {
  public:
   UdfBatchPartitionIterator(TableUdfPtr udf, TableUdfContext context,
@@ -435,11 +478,12 @@ class UdfBatchPartitionIterator final : public BatchIterator {
         context_(context),
         input_(std::move(input)),
         output_schema_(std::move(output_schema)),
-        queue_(kUdfQueueCapacity) {
+        queue_(kUdfQueueCapacity / kSqlBatchRows) {
     pump_ = std::thread([this] {
-      RowQueueSink sink(&queue_);
-      const Status status =
+      BatchQueueSink sink(&queue_, output_schema_);
+      Status status =
           udf_->ProcessPartitionBatches(context_, input_.get(), &sink);
+      if (status.ok()) status = sink.FlushRows();
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (!status.ok() && !status.IsCancelled()) pump_status_ = status;
@@ -454,19 +498,14 @@ class UdfBatchPartitionIterator final : public BatchIterator {
   }
 
   Result<bool> Next(ColumnBatch* out) override {
-    if (done_) return false;
-    out->Reset(output_schema_);
-    while (out->num_rows() < kSqlBatchRows) {
-      std::optional<Row> row = queue_.Pop();
-      if (!row.has_value()) {
-        done_ = true;
-        std::lock_guard<std::mutex> lock(mu_);
-        RETURN_IF_ERROR(pump_status_);
-        break;
-      }
-      RETURN_IF_ERROR(out->AppendRow(*row));
+    std::optional<ColumnBatch> batch = queue_.Pop();
+    if (!batch.has_value()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      RETURN_IF_ERROR(pump_status_);
+      return false;
     }
-    return out->num_rows() > 0;
+    *out = std::move(*batch);
+    return true;
   }
 
  private:
@@ -474,11 +513,10 @@ class UdfBatchPartitionIterator final : public BatchIterator {
   TableUdfContext context_;
   BatchIteratorPtr input_;
   SchemaPtr output_schema_;
-  BlockingQueue<Row> queue_;
+  BlockingQueue<ColumnBatch> queue_;
   std::thread pump_;
   std::mutex mu_;
   Status pump_status_;
-  bool done_ = false;
 };
 
 /// Hash-based duplicate elimination over batches: unique rows accumulate in

@@ -8,7 +8,7 @@ namespace sqlink {
 
 Status TableUdf::ProcessPartitionBatches(const TableUdfContext& context,
                                          BatchIterator* input,
-                                         RowSink* output) {
+                                         BatchSink* output) {
   if (input == nullptr) {
     return ProcessPartition(context, nullptr, output);
   }

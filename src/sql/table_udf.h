@@ -65,14 +65,15 @@ class TableUdf {
   virtual Status ProcessPartition(const TableUdfContext& context,
                                   RowIterator* input, RowSink* output) = 0;
 
-  /// Batch-input variant, called by the vectorized executor: `input` is a
-  /// columnar pipeline (null for source UDFs). The default adapts batches
-  /// to rows and delegates to ProcessPartition; UDFs that can consume
-  /// ColumnBatch directly (the streaming sink) override to skip the
-  /// row detour entirely.
+  /// Batch variant, called by the vectorized executor: `input` is a
+  /// columnar pipeline (null for source UDFs) and `output` accepts whole
+  /// batches as well as rows. The default adapts batches to rows and
+  /// delegates to ProcessPartition; UDFs that work on ColumnBatch directly
+  /// (the coding UDFs, recode_local_distinct, the streaming sink) override
+  /// it so no cell is boxed between the join and the UDF's consumer.
   virtual Status ProcessPartitionBatches(const TableUdfContext& context,
                                          BatchIterator* input,
-                                         RowSink* output);
+                                         BatchSink* output);
 
   /// Runs once after all workers returned (success or failure).
   virtual Status Finish() { return Status::OK(); }

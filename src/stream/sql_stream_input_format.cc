@@ -56,13 +56,17 @@ class StreamRecordReader final : public ml::RecordReader {
         kill_failpoint_name_("stream.reader.kill.split" +
                              std::to_string(split_.split_id)),
         options_(options),
-        metrics_(metrics),
         bytes_received_(metrics != nullptr
                             ? metrics->GetCounter("stream.bytes_received")
                             : nullptr),
         rows_delivered_(metrics != nullptr
                             ? metrics->GetCounter("stream.reader.rows_delivered")
                             : nullptr),
+        reconnect_counter_(metrics != nullptr
+                               ? metrics->GetCounter("stream.reconnects")
+                               : nullptr),
+        data_dials_(
+            MetricsRegistry::Global().GetCounter("stream.reader.data_dials")),
         frames_deduped_(
             MetricsRegistry::Global().GetCounter("transfer.frames_deduped")),
         reconnect_backoff_(ReconnectBackoffOptions(split_.split_id)) {
@@ -221,7 +225,7 @@ class StreamRecordReader final : public ml::RecordReader {
       // A restarted sink re-registers under a fresh mux routing key; the
       // re-match carries the current one.
       sink_key = match.sink_key;
-      if (metrics_ != nullptr) metrics_->Increment("stream.reconnects");
+      if (reconnect_counter_ != nullptr) reconnect_counter_->Increment();
     }
     HelloMessage hello;
     hello.split_id = split_.split_id;
@@ -241,7 +245,7 @@ class StreamRecordReader final : public ml::RecordReader {
                         hello));
     } else {
       ASSIGN_OR_RETURN(TcpSocket socket, TcpConnect(host, port));
-      MetricsRegistry::Global().Increment("stream.reader.data_dials");
+      data_dials_->Increment();
       channel_ = std::make_shared<SocketFrameChannel>(std::move(socket));
       RETURN_IF_ERROR(channel_->Send(FrameType::kHello, hello.Encode(), 0));
     }
@@ -543,9 +547,10 @@ class StreamRecordReader final : public ml::RecordReader {
   const std::string row_failpoint_name_;
   const std::string kill_failpoint_name_;
   StreamReaderOptions options_;
-  MetricsRegistry* metrics_;
   Counter* bytes_received_;
   Counter* rows_delivered_;
+  Counter* reconnect_counter_;
+  Counter* data_dials_;
   Counter* frames_deduped_;
   std::optional<TraceSpan> stream_span_;
   std::unique_ptr<HeartbeatSender> heartbeat_;

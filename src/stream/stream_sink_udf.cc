@@ -271,7 +271,7 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
 
 Status SqlStreamSinkUdf::ProcessPartitionBatches(const TableUdfContext& context,
                                                  BatchIterator* input,
-                                                 RowSink* output) {
+                                                 BatchSink* output) {
   if (input == nullptr) {
     return Status::InvalidArgument("sql_stream_sink needs an input relation");
   }

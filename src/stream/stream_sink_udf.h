@@ -65,7 +65,7 @@ class SqlStreamSinkUdf final : public TableUdf {
   /// ever being boxed. Row routing is identical to ProcessPartition.
   Status ProcessPartitionBatches(const TableUdfContext& context,
                                  BatchIterator* input,
-                                 RowSink* output) override;
+                                 BatchSink* output) override;
 
   /// Schema of the per-worker summary row.
   static SchemaPtr SummarySchema();

@@ -64,6 +64,33 @@ Status AppendColumnValue(Column* col, size_t row, const Value& v,
   return Status::OK();
 }
 
+void AppendNullWords(std::vector<uint64_t>* dst, size_t dst_rows,
+                     const std::vector<uint64_t>& src, size_t src_begin,
+                     size_t n) {
+  const size_t words = (dst_rows + n + 63) / 64;
+  if (dst->size() < words) dst->resize(words, 0);
+  const size_t dst_shift = dst_rows & 63;
+  const size_t src_shift = src_begin & 63;
+  for (size_t done = 0; done < n; done += 64) {
+    // Source bits [src_begin + done, +64), realigned to bit 0 ...
+    const size_t s = (src_begin + done) >> 6;
+    uint64_t bits = s < src.size() ? src[s] >> src_shift : 0;
+    if (src_shift != 0 && s + 1 < src.size()) {
+      bits |= src[s + 1] << (64 - src_shift);
+    }
+    // ... cut to the rows being appended, so bits past the new row count
+    // stay zero ...
+    if (n - done < 64) bits &= (uint64_t{1} << (n - done)) - 1;
+    if (bits == 0) continue;
+    // ... and or-ed in at the destination's bit offset.
+    const size_t d = (dst_rows + done) >> 6;
+    (*dst)[d] |= bits << dst_shift;
+    if (dst_shift != 0 && d + 1 < dst->size()) {
+      (*dst)[d + 1] |= bits >> (64 - dst_shift);
+    }
+  }
+}
+
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n) {
   for (size_t i = 0; i < n; ++i) {
@@ -203,9 +230,7 @@ Status ColumnBatch::AppendBatch(const ColumnBatch& other) {
     if (dst.type != src.type) {
       return Status::InvalidArgument("column type mismatch in AppendBatch");
     }
-    for (size_t r = 0; r < added; ++r) {
-      dst.AppendNullBit(base + r, src.IsNull(r));
-    }
+    AppendNullWords(&dst.null_words, base, src.null_words, 0, added);
     switch (dst.type) {
       case DataType::kBool:
         dst.bools.insert(dst.bools.end(), src.bools.begin(), src.bools.end());
@@ -298,9 +323,7 @@ ColumnBatch ColumnBatch::Slice(size_t begin) const {
   for (size_t i = 0; i < columns_.size(); ++i) {
     Column& dst = out.columns_[i];
     const Column& src = columns_[i];
-    for (size_t r = 0; r < rows; ++r) {
-      dst.AppendNullBit(r, src.IsNull(begin + r));
-    }
+    AppendNullWords(&dst.null_words, 0, src.null_words, begin, rows);
     switch (src.type) {
       case DataType::kBool:
         dst.bools.assign(src.bools.begin() + static_cast<long>(begin),

@@ -54,6 +54,14 @@ Value ColumnValueAt(const Column& col, size_t row);
 Status AppendColumnValue(Column* col, size_t row, const Value& v,
                          const std::string& column_name);
 
+/// Appends null bits [src_begin, src_begin + n) of the bitmap `src` to the
+/// bitmap `dst`, which holds `dst_rows` rows, a 64-bit word at a time. Keeps
+/// the Column invariant: `dst` is sized ceil((dst_rows + n) / 64) words and
+/// bits past dst_rows + n are zero.
+void AppendNullWords(std::vector<uint64_t>* dst, size_t dst_rows,
+                     const std::vector<uint64_t>& src, size_t src_begin,
+                     size_t n);
+
 /// Gather-appends `n` rows of `src` (selected by `rows`) onto `dst`, which
 /// already holds `dst_rows` rows of the same type. String codes are carried
 /// over wholesale when `dst` is empty and remapped through a translate

@@ -1,5 +1,8 @@
 #include "table/csv.h"
 
+#include "common/status_macros.h"
+#include "common/string_util.h"
+
 namespace sqlink {
 
 namespace {
@@ -53,37 +56,38 @@ void CsvCodec::AppendRow(const Row& row, std::string* out) const {
   out->push_back('\n');
 }
 
-Result<Row> CsvCodec::ParseRow(std::string_view line,
-                               const Schema& schema) const {
-  Row row;
-  row.reserve(static_cast<size_t>(schema.num_fields()));
+template <typename FieldFn>
+Status CsvCodec::ForEachField(std::string_view line, int num_fields,
+                              FieldFn&& fn) const {
+  std::string unescaped;  // Quoted fields only.
   size_t pos = 0;
-  int field_index = 0;
   const size_t n = line.size();
-  while (field_index < schema.num_fields()) {
-    std::string field;
+  for (int field_index = 0; field_index < num_fields; ++field_index) {
+    std::string_view field;
     bool quoted = false;
     if (pos < n && line[pos] == '"') {
       quoted = true;
       ++pos;
+      unescaped.clear();
       while (pos < n) {
         if (line[pos] == '"') {
           if (pos + 1 < n && line[pos + 1] == '"') {
-            field.push_back('"');
+            unescaped.push_back('"');
             pos += 2;
           } else {
             ++pos;  // Closing quote.
             break;
           }
         } else {
-          field.push_back(line[pos]);
+          unescaped.push_back(line[pos]);
           ++pos;
         }
       }
+      field = unescaped;
     } else {
       const size_t next = line.find(delimiter_, pos);
       const size_t end = (next == std::string_view::npos) ? n : next;
-      field.assign(line.substr(pos, end - pos));
+      field = line.substr(pos, end - pos);
       pos = end;
     }
     // Consume the delimiter following this field, if any.
@@ -92,20 +96,8 @@ Result<Row> CsvCodec::ParseRow(std::string_view line,
       ++pos;
       had_delimiter = true;
     }
-
-    const DataType type = schema.field(field_index).type;
-    if (field.empty() && quoted && type == DataType::kString) {
-      row.push_back(Value::String(""));
-    } else {
-      auto value = Value::Parse(field, type);
-      if (!value.ok()) {
-        return value.status().WithContext("field " +
-                                          schema.field(field_index).name);
-      }
-      row.push_back(std::move(*value));
-    }
-    ++field_index;
-    if (field_index < schema.num_fields() && !had_delimiter && pos >= n) {
+    RETURN_IF_ERROR(fn(field_index, field, quoted));
+    if (field_index + 1 < num_fields && !had_delimiter && pos >= n) {
       return Status::ParseError("too few fields in line: " +
                                 std::string(line));
     }
@@ -113,7 +105,93 @@ Result<Row> CsvCodec::ParseRow(std::string_view line,
   if (pos < n) {
     return Status::ParseError("too many fields in line: " + std::string(line));
   }
+  return Status::OK();
+}
+
+Result<Row> CsvCodec::ParseRow(std::string_view line,
+                               const Schema& schema) const {
+  Row row;
+  row.reserve(static_cast<size_t>(schema.num_fields()));
+  RETURN_IF_ERROR(ForEachField(
+      line, schema.num_fields(),
+      [&](int index, std::string_view text, bool quoted) -> Status {
+        const DataType type = schema.field(index).type;
+        if (text.empty() && quoted && type == DataType::kString) {
+          row.push_back(Value::String(""));
+          return Status::OK();
+        }
+        auto value = Value::Parse(text, type);
+        if (!value.ok()) {
+          return value.status().WithContext("field " +
+                                            schema.field(index).name);
+        }
+        row.push_back(std::move(*value));
+        return Status::OK();
+      }));
   return row;
+}
+
+namespace {
+
+/// Value::Parse's rules, appending into a typed column: empty text is NULL
+/// except the quoted empty string of a STRING column.
+Status AppendParsedField(Column* col, size_t row, std::string_view text,
+                         bool quoted) {
+  const bool null = text.empty() && !(quoted && col->type == DataType::kString);
+  col->AppendNullBit(row, null);
+  switch (col->type) {
+    case DataType::kBool: {
+      bool b = false;
+      if (!null) {
+        if (EqualsIgnoreCase(text, "true") || text == "1") {
+          b = true;
+        } else if (!EqualsIgnoreCase(text, "false") && text != "0") {
+          return Status::ParseError("invalid bool literal: " +
+                                    std::string(text));
+        }
+      }
+      col->bools.push_back(b ? 1 : 0);
+      return Status::OK();
+    }
+    case DataType::kInt64: {
+      int64_t v = 0;
+      if (!null) {
+        ASSIGN_OR_RETURN(v, ParseInt64(text));
+      }
+      col->ints.push_back(v);
+      return Status::OK();
+    }
+    case DataType::kDouble: {
+      double v = 0;
+      if (!null) {
+        ASSIGN_OR_RETURN(v, ParseDouble(text));
+      }
+      col->doubles.push_back(v);
+      return Status::OK();
+    }
+    case DataType::kString:
+      col->codes.push_back(null ? 0 : col->dict.GetOrAdd(text));
+      return Status::OK();
+  }
+  return Status::Internal("unhandled data type");
+}
+
+}  // namespace
+
+Status CsvCodec::ParseRowInto(std::string_view line, ColumnBatch* out) const {
+  const Schema& schema = *out->schema();
+  const size_t row = out->num_rows();
+  RETURN_IF_ERROR(ForEachField(
+      line, schema.num_fields(),
+      [&](int index, std::string_view text, bool quoted) -> Status {
+        const Status status = AppendParsedField(
+            &out->column(static_cast<size_t>(index)), row, text, quoted);
+        return status.ok() ? status
+                           : status.WithContext("field " +
+                                                schema.field(index).name);
+      }));
+  out->SetRowCountForDecode(row + 1);
+  return Status::OK();
 }
 
 }  // namespace sqlink

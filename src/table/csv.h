@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "common/result.h"
+#include "table/column_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -29,11 +30,24 @@ class CsvCodec {
   /// Parses one line into typed values according to the schema.
   Result<Row> ParseRow(std::string_view line, const Schema& schema) const;
 
+  /// Parses one line straight into the typed column vectors of `out` (one
+  /// more row, typed by out's schema) — ParseRow's rules and error
+  /// messages, without a boxed Value per field. After an error `out` holds
+  /// a partial row and must be discarded.
+  Status ParseRowInto(std::string_view line, ColumnBatch* out) const;
+
   char delimiter() const { return delimiter_; }
 
  private:
   void AppendField(std::string_view text, bool quote_empty,
                    std::string* out) const;
+
+  /// Splits `line` into exactly `num_fields` fields, calling
+  /// `fn(index, text, quoted)` for each; `text` is unescaped and valid only
+  /// during the call.
+  template <typename FieldFn>
+  Status ForEachField(std::string_view line, int num_fields,
+                      FieldFn&& fn) const;
 
   char delimiter_;
 };

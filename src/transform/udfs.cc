@@ -1,6 +1,5 @@
 #include "transform/udfs.h"
 
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/string_dict.h"
 #include "common/string_util.h"
@@ -39,8 +38,9 @@ Result<SchemaPtr> RecodeLocalDistinctUdf::Bind(const SchemaPtr& input_schema,
   if (column_indices_.empty()) {
     return Status::InvalidArgument("no columns to recode");
   }
-  return Schema::Make(
+  output_schema_ = Schema::Make(
       {{"colname", DataType::kString}, {"colval", DataType::kString}});
+  return output_schema_;
 }
 
 Status RecodeLocalDistinctUdf::ProcessPartition(const TableUdfContext& context,
@@ -64,6 +64,38 @@ Status RecodeLocalDistinctUdf::ProcessPartition(const TableUdfContext& context,
                                          value}));
       }
     }
+  }
+  return Status::OK();
+}
+
+Status RecodeLocalDistinctUdf::ProcessPartitionBatches(
+    const TableUdfContext& context, BatchIterator* input, BatchSink* output) {
+  (void)context;
+  std::vector<StringDict> seen(column_indices_.size());
+  std::vector<uint8_t> code_seen;  // Per dictionary code of one batch.
+  ColumnBatch batch;
+  for (;;) {
+    ASSIGN_OR_RETURN(bool has, input->Next(&batch));
+    if (!has) break;
+    ColumnBatch found(output_schema_);
+    for (size_t c = 0; c < column_indices_.size(); ++c) {
+      const Column& col = batch.column(static_cast<size_t>(column_indices_[c]));
+      code_seen.assign(static_cast<size_t>(col.dict.size()), 0);
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        if (col.IsNull(r)) continue;
+        const int32_t code = col.codes[r];
+        if (code_seen[static_cast<size_t>(code)] != 0) continue;
+        code_seen[static_cast<size_t>(code)] = 1;
+        const std::string_view value = col.dict[code];
+        const int32_t before = seen[c].size();
+        if (seen[c].GetOrAdd(value) == before) {
+          RETURN_IF_ERROR(found.AppendRow(
+              Row{Value::String(column_names_[c]),
+                  Value::String(std::string(value))}));
+        }
+      }
+    }
+    if (!found.empty()) RETURN_IF_ERROR(output->PushBatch(std::move(found)));
   }
   return Status::OK();
 }
@@ -129,7 +161,6 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
   ASSIGN_OR_RETURN(std::vector<CodedColumnSpec> specs,
                    ParseCodedColumnSpecs(args[0].string_value()));
 
-  input_schema_ = input_schema;
   dispatch_.assign(static_cast<size_t>(input_schema->num_fields()), -1);
   std::vector<Field> fields;
   std::map<int, const CodedColumnSpec*> by_index;
@@ -145,9 +176,6 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
       return Status::InvalidArgument("column coded twice: " + spec.column);
     }
   }
-  const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
-                                      ? DataType::kDouble
-                                      : DataType::kInt64;
   for (int i = 0; i < input_schema->num_fields(); ++i) {
     auto coded = by_index.find(i);
     if (coded == by_index.end()) {
@@ -156,78 +184,22 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
     }
     const CodedColumnSpec& spec = *coded->second;
     BoundColumn bound;
-    bound.input_index = i;
     bound.cardinality = spec.cardinality;
     ASSIGN_OR_RETURN(bound.matrix, CodingMatrix(scheme_, spec.cardinality));
     dispatch_[static_cast<size_t>(i)] = static_cast<int>(coded_.size());
     coded_.push_back(std::move(bound));
     for (const std::string& name : CodedColumnNames(spec, scheme_)) {
-      fields.push_back(Field{name, generated_type});
+      fields.push_back(Field{name, generated_type()});
     }
   }
-  return Schema::Make(std::move(fields));
+  output_schema_ = Schema::Make(std::move(fields));
+  return output_schema_;
 }
 
 Status CodeApplyUdf::ProcessPartition(const TableUdfContext& context,
                                       RowIterator* input, RowSink* output) {
   (void)context;
-  return ColumnarEnabled() ? ProcessColumnar(input, output)
-                           : ProcessRows(input, output);
-}
-
-Status CodeApplyUdf::ProcessColumnar(RowIterator* input,
-                                     RowSink* output) const {
-  constexpr size_t kChunkRows = 1024;
-  const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
-                                      ? DataType::kDouble
-                                      : DataType::kInt64;
-  ColumnBatch batch(input_schema_);
-  std::vector<std::vector<Column>> generated(coded_.size());
-  Row row;
-  bool done = false;
-  while (!done) {
-    batch.Clear();
-    batch.Reserve(kChunkRows);
-    while (batch.num_rows() < kChunkRows) {
-      ASSIGN_OR_RETURN(bool has, input->Next(&row));
-      if (!has) {
-        done = true;
-        break;
-      }
-      RETURN_IF_ERROR(batch.AppendRow(row));
-    }
-    if (batch.empty()) break;
-    for (size_t c = 0; c < coded_.size(); ++c) {
-      const BoundColumn& bound = coded_[c];
-      RETURN_IF_ERROR(ApplyCodingKernel(
-          batch.column(static_cast<size_t>(bound.input_index)),
-          batch.num_rows(), bound.cardinality, bound.matrix, generated_type,
-          &generated[c]));
-    }
-    for (size_t r = 0; r < batch.num_rows(); ++r) {
-      Row out;
-      for (size_t i = 0; i < dispatch_.size(); ++i) {
-        const int coded_index = dispatch_[i];
-        if (coded_index < 0) {
-          out.push_back(batch.ValueAt(r, i));
-          continue;
-        }
-        for (const Column& g : generated[static_cast<size_t>(coded_index)]) {
-          out.push_back(generated_type == DataType::kDouble
-                            ? Value::Double(g.doubles[r])
-                            : Value::Int64(g.ints[r]));
-        }
-      }
-      RETURN_IF_ERROR(output->Push(std::move(out)));
-    }
-  }
-  return Status::OK();
-}
-
-Status CodeApplyUdf::ProcessRows(RowIterator* input, RowSink* output) const {
-  const DataType generated_type = scheme_ == CodingScheme::kOrthogonal
-                                      ? DataType::kDouble
-                                      : DataType::kInt64;
+  const DataType generated_type = this->generated_type();
   Row row;
   for (;;) {
     ASSIGN_OR_RETURN(bool has, input->Next(&row));
@@ -260,14 +232,46 @@ Status CodeApplyUdf::ProcessRows(RowIterator* input, RowSink* output) const {
   return Status::OK();
 }
 
+Status CodeApplyUdf::ProcessPartitionBatches(const TableUdfContext& context,
+                                             BatchIterator* input,
+                                             BatchSink* output) {
+  (void)context;
+  ColumnBatch in;
+  std::vector<Column> generated;
+  for (;;) {
+    ASSIGN_OR_RETURN(bool has, input->Next(&in));
+    if (!has) break;
+    ColumnBatch out(output_schema_);
+    size_t next = 0;  // Next output column to fill.
+    for (size_t i = 0; i < dispatch_.size(); ++i) {
+      const int coded_index = dispatch_[i];
+      if (coded_index < 0) {
+        // `in` is refilled by the next Next, so its column can be taken.
+        std::swap(out.column(next++), in.column(i));
+        continue;
+      }
+      const BoundColumn& bound = coded_[static_cast<size_t>(coded_index)];
+      RETURN_IF_ERROR(ApplyCodingKernel(in.column(i), in.num_rows(),
+                                        bound.cardinality, bound.matrix,
+                                        generated_type(), &generated));
+      for (Column& g : generated) out.column(next++) = std::move(g);
+    }
+    out.SetRowCountForDecode(in.num_rows());
+    RETURN_IF_ERROR(output->PushBatch(std::move(out)));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 
 Status RegisterTransformUdfs(SqlEngine* engine) {
   TableUdfRegistry* registry = engine->table_udfs();
   auto register_once = [registry](const std::string& name,
                                   TableUdfFactory factory) -> Status {
-    if (registry->Contains(name)) return Status::OK();
-    return registry->Register(name, std::move(factory));
+    // Concurrent callers (one InSqlTransformer per thread) may race to
+    // register the same name; losing that race is success.
+    const Status status = registry->Register(name, std::move(factory));
+    return status.IsAlreadyExists() ? Status::OK() : status;
   };
   RETURN_IF_ERROR(register_once("recode_local_distinct", [] {
     return std::make_shared<RecodeLocalDistinctUdf>();

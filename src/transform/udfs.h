@@ -24,12 +24,20 @@ class RecodeLocalDistinctUdf final : public TableUdf {
  public:
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
+  /// Row engine: one seen-set probe per non-NULL cell.
   Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
                           RowSink* output) override;
+  /// Vectorized engine: dedups each batch over its dictionary codes first,
+  /// so the seen-set is probed once per distinct value per batch; newly
+  /// seen pairs leave as one batch per input batch.
+  Status ProcessPartitionBatches(const TableUdfContext& context,
+                                 BatchIterator* input,
+                                 BatchSink* output) override;
 
  private:
   std::vector<int> column_indices_;
   std::vector<std::string> column_names_;
+  SchemaPtr output_schema_;
 };
 
 /// Phase 2 tail of distributed recoding: assigns consecutive recode values
@@ -63,24 +71,31 @@ class CodeApplyUdf final : public TableUdf {
 
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
+  /// Row engine (SQLINK_VECTORIZED_SQL=off): expands one boxed row at a
+  /// time.
   Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
                           RowSink* output) override;
+  /// Vectorized engine: per input batch, ApplyCodingKernel expands each
+  /// coded column and the pass-through columns move into the output batch
+  /// whole — no cell is copied or boxed. Errors match ProcessPartition's
+  /// (NULL level: InvalidArgument, level outside [1, k]: OutOfRange).
+  Status ProcessPartitionBatches(const TableUdfContext& context,
+                                 BatchIterator* input,
+                                 BatchSink* output) override;
 
  private:
   struct BoundColumn {
-    int input_index = -1;
     int cardinality = 0;
     std::vector<std::vector<double>> matrix;  // Level -> generated values.
   };
 
-  /// Chunked vectorized path (SQLINK_COLUMNAR=on): stages input rows into a
-  /// ColumnBatch and expands coded columns with ApplyCodingKernel.
-  Status ProcessColumnar(RowIterator* input, RowSink* output) const;
-  /// Row-at-a-time fallback (SQLINK_COLUMNAR=off).
-  Status ProcessRows(RowIterator* input, RowSink* output) const;
+  DataType generated_type() const {
+    return scheme_ == CodingScheme::kOrthogonal ? DataType::kDouble
+                                                : DataType::kInt64;
+  }
 
   CodingScheme scheme_;
-  SchemaPtr input_schema_;
+  SchemaPtr output_schema_;
   // Per input column: -1 = copy through, else index into coded_.
   std::vector<int> dispatch_;
   std::vector<BoundColumn> coded_;

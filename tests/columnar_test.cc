@@ -164,6 +164,60 @@ TEST(ColumnBatchTest, SliceCopiesTail) {
   EXPECT_TRUE(batch->Slice(99).empty());
 }
 
+/// A one-column INT64 batch of `rows` rows; row r is NULL when
+/// (r * 7 + seed) % 3 == 0 — mixed NULLs at every word position.
+ColumnBatch MixedNullBatch(size_t rows, size_t seed) {
+  ColumnBatch batch(Schema::Make({{"v", DataType::kInt64}}));
+  for (size_t r = 0; r < rows; ++r) {
+    const bool null = (r * 7 + seed) % 3 == 0;
+    EXPECT_TRUE(batch
+                    .AppendRow({null ? Value::Null()
+                                     : Value::Int64(static_cast<int64_t>(r))})
+                    .ok());
+  }
+  return batch;
+}
+
+/// The per-row reference: the bitmap AppendNullBit builds for the rows
+/// [begin, end) of `src` appended after `dst`'s rows.
+std::vector<uint64_t> ReferenceBits(const ColumnBatch& dst,
+                                    const ColumnBatch& src, size_t begin) {
+  Column col;
+  for (size_t r = 0; r < dst.num_rows(); ++r) {
+    col.AppendNullBit(r, dst.column(0).IsNull(r));
+  }
+  for (size_t r = begin; r < src.num_rows(); ++r) {
+    col.AppendNullBit(dst.num_rows() + r - begin, src.column(0).IsNull(r));
+  }
+  col.null_words.resize((dst.num_rows() + src.num_rows() - begin + 63) / 64);
+  return col.null_words;
+}
+
+TEST(ColumnBatchTest, WordWiseNullAppendMatchesPerRowReference) {
+  for (const size_t dst_rows : {0u, 1u, 63u, 64u, 65u}) {
+    for (const size_t src_rows : {0u, 1u, 63u, 64u, 65u, 1025u}) {
+      SCOPED_TRACE("dst " + std::to_string(dst_rows) + " src " +
+                   std::to_string(src_rows));
+      const ColumnBatch src = MixedNullBatch(src_rows, 1);
+      ColumnBatch dst = MixedNullBatch(dst_rows, 2);
+      const std::vector<uint64_t> expected = ReferenceBits(dst, src, 0);
+      ASSERT_TRUE(dst.AppendBatch(src).ok());
+      EXPECT_EQ(dst.column(0).null_words, expected);
+      EXPECT_EQ(dst.num_rows(), dst_rows + src_rows);
+
+      // Slice reads the source bitmap at a bit offset.
+      const size_t begin = dst_rows;  // Reuse the offsets as slice starts.
+      const ColumnBatch empty = MixedNullBatch(0, 0);
+      const ColumnBatch tail = src.Slice(begin);
+      if (begin < src_rows) {
+        EXPECT_EQ(tail.column(0).null_words, ReferenceBits(empty, src, begin));
+      } else {
+        EXPECT_TRUE(tail.empty());
+      }
+    }
+  }
+}
+
 TEST(ColumnBatchTest, AppendRowRejectsMismatches) {
   auto schema = Schema::Make({{"v", DataType::kInt64}});
   ColumnBatch batch(schema);

@@ -18,13 +18,13 @@ namespace {
 
 /// Canonical (sorted) row rendering for order-insensitive comparison of
 /// datasets produced by different pipelines.
-std::vector<std::string> CanonicalRows(const ml::RowDataset& dataset) {
+std::vector<std::string> CanonicalRows(const ml::ColumnDataset& dataset) {
   std::vector<std::string> rows;
-  for (const auto& partition : dataset.partitions) {
-    for (const Row& row : partition) {
+  for (const ColumnBatch& partition : dataset.partitions) {
+    for (size_t r = 0; r < partition.num_rows(); ++r) {
       std::string rendered;
-      for (const Value& v : row) {
-        rendered += v.ToString();
+      for (size_t c = 0; c < partition.num_columns(); ++c) {
+        rendered += partition.ValueAt(r, c).ToString();
         rendered += "|";
       }
       rows.push_back(std::move(rendered));
@@ -32,6 +32,17 @@ std::vector<std::string> CanonicalRows(const ml::RowDataset& dataset) {
   }
   std::sort(rows.begin(), rows.end());
   return rows;
+}
+
+/// The labeled points of a dataset as a sorted multiset.
+std::vector<std::pair<double, ml::DenseVector>> SortedPoints(
+    const ml::Dataset& dataset) {
+  std::vector<std::pair<double, ml::DenseVector>> points;
+  for (const ml::LabeledPoint& point : dataset.Gather()) {
+    points.emplace_back(point.label, point.features);
+  }
+  std::sort(points.begin(), points.end());
+  return points;
 }
 
 class PipelineTest : public ::testing::Test {
@@ -98,6 +109,31 @@ TEST_F(PipelineTest, AllThreeApproachesProduceIdenticalData) {
             insql_result->dataset.schema->ToString());
   EXPECT_EQ(insql_result->dataset.schema->ToString(),
             stream_result->dataset.schema->ToString());
+
+  // The ML-side datasets agree point for point (as multisets).
+  auto naive_points = AnalyticsPipeline::ToDataset(*naive_result, "abandoned");
+  auto insql_points = AnalyticsPipeline::ToDataset(*insql_result, "abandoned");
+  auto stream_points =
+      AnalyticsPipeline::ToDataset(*stream_result, "abandoned");
+  ASSERT_TRUE(naive_points.ok()) << naive_points.status();
+  ASSERT_TRUE(insql_points.ok()) << insql_points.status();
+  ASSERT_TRUE(stream_points.ok()) << stream_points.status();
+  EXPECT_EQ(naive_points->TotalPoints(), naive_result->dataset.TotalRows());
+  EXPECT_EQ(SortedPoints(*naive_points), SortedPoints(*insql_points));
+  EXPECT_EQ(SortedPoints(*insql_points), SortedPoints(*stream_points));
+
+  // A full-result cache hit serves exactly the cold run's data.
+  PipelineOptions cached = stream;
+  cached.use_cache = true;
+  cached.cache_full_result = true;
+  auto populate = pipeline_->Prepare(PaperRequest(), cached);
+  ASSERT_TRUE(populate.ok()) << populate.status();
+  auto hit = pipeline_->Prepare(PaperRequest(), cached);
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(hit->source, QueryRewriter::Source::kFullResultCache);
+  auto hit_points = AnalyticsPipeline::ToDataset(*hit, "abandoned");
+  ASSERT_TRUE(hit_points.ok()) << hit_points.status();
+  EXPECT_EQ(SortedPoints(*hit_points), SortedPoints(*stream_points));
 
   // Streaming writes nothing to the DFS; the others do.
   EXPECT_GT(naive_result->dfs_bytes_written, 0);

@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <algorithm>
 #include <memory>
 #include <set>
 
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
 #include "common/random.h"
+#include "common/runtime_flags.h"
+#include "sql/batch_iterator.h"
 #include "sql/engine.h"
 #include "transform/coding.h"
 #include "transform/recode_map.h"
@@ -377,6 +380,141 @@ TEST_F(TransformUdfTest, RecodedQueryMatchesManualRecoding) {
   for (const Row& row : (*recoded)->GatherRows()) {
     EXPECT_EQ(row[1].int64_value(),
               *map->Code("gender", row[0].string_value()));
+  }
+}
+
+// --- Batch-native UDFs vs the row path -----------------------------------
+//
+// The vectorized engine runs the coding UDFs and recode_local_distinct
+// batch-native (ProcessPartitionBatches); the row engine runs their
+// ProcessPartition. Both must agree on every input shape.
+
+class BatchUdfDifferentialTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    temp_ = std::make_unique<ScopedTempDir>("batch_udf_diff");
+  }
+  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
+
+  /// A fresh engine over `workers` SQL workers whose table `codes` holds
+  /// `rows_per_partition` rows in every partition — so each worker's UDF
+  /// sees exactly that many input rows, batched at kSqlBatchRows.
+  SqlEnginePtr MakeEngine(int workers, size_t rows_per_partition) {
+    auto cluster = Cluster::Make(
+        workers, temp_->path() + "/c" + std::to_string(engines_++));
+    EXPECT_TRUE(cluster.ok());
+    SqlEnginePtr engine = SqlEngine::Make(*cluster);
+    EXPECT_TRUE(RegisterTransformUdfs(engine.get()).ok());
+    auto schema = Schema::Make({{"id", DataType::kInt64},
+                                {"tag", DataType::kString},
+                                {"level", DataType::kInt64},
+                                {"amount", DataType::kDouble},
+                                {"grade", DataType::kInt64},
+                                {"maybe", DataType::kInt64}});
+    auto table = engine->MakeTable("codes", schema);
+    for (int p = 0; p < workers; ++p) {
+      for (size_t i = 0; i < rows_per_partition; ++i) {
+        const auto id = static_cast<int64_t>(
+            static_cast<size_t>(p) * rows_per_partition + i);
+        table->AppendRow(
+            static_cast<size_t>(p),
+            Row{Value::Int64(id),
+                id % 5 == 0 ? Value::Null()
+                            : Value::String("t" + std::to_string(id % 37)),
+                Value::Int64(1 + (id * 7) % 3),
+                id % 9 == 0 ? Value::Null() : Value::Double(id * 0.5),
+                Value::Int64(1 + id % 4),
+                id % 100 == 7 ? Value::Null() : Value::Int64(1 + id % 3)});
+      }
+    }
+    EXPECT_TRUE(engine->catalog()->RegisterTable(table).ok());
+    return engine;
+  }
+
+  /// Runs `sql` on the row (0) or vectorized (1) engine; the result rows
+  /// rendered and sorted (a multiset), or the failure.
+  static Result<std::vector<std::string>> Run(SqlEngine* engine,
+                                              const std::string& sql,
+                                              int vectorized) {
+    SetVectorizedSqlEnabledForTest(vectorized);
+    auto table = engine->ExecuteSql(sql);
+    if (!table.ok()) return table.status();
+    std::vector<std::string> rows;
+    for (const Row& row : (*table)->GatherRows()) {
+      std::string rendered;
+      for (const Value& v : row) rendered += v.ToString() + "|";
+      rows.push_back(std::move(rendered));
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  std::unique_ptr<ScopedTempDir> temp_;
+  int engines_ = 0;
+};
+
+TEST_F(BatchUdfDifferentialTest, CodingBatchPathMatchesRowPath) {
+  for (const int workers : {1, 4}) {
+    for (const size_t rows : {size_t{0}, size_t{1}, kSqlBatchRows - 1,
+                              kSqlBatchRows, kSqlBatchRows + 1}) {
+      SqlEnginePtr engine = MakeEngine(workers, rows);
+      for (const char* udf : {"dummy_code", "effect_code", "orthogonal_code"}) {
+        const std::string sql = std::string("SELECT * FROM TABLE(") + udf +
+                                "((SELECT * FROM codes), 'level:3,grade:4'))";
+        SCOPED_TRACE(sql + " workers=" + std::to_string(workers) +
+                     " rows=" + std::to_string(rows));
+        auto row_path = Run(engine.get(), sql, 0);
+        auto batch_path = Run(engine.get(), sql, 1);
+        ASSERT_TRUE(row_path.ok()) << row_path.status();
+        ASSERT_TRUE(batch_path.ok()) << batch_path.status();
+        EXPECT_EQ(row_path->size(), rows * static_cast<size_t>(workers));
+        EXPECT_EQ(*row_path, *batch_path);
+      }
+    }
+  }
+}
+
+TEST_F(BatchUdfDifferentialTest, CodingErrorsMatchRowPath) {
+  SqlEnginePtr engine = MakeEngine(4, kSqlBatchRows + 1);
+  // `grade` reaches 4: outside cardinality 3.
+  const std::string out_of_range =
+      "SELECT * FROM TABLE(dummy_code((SELECT * FROM codes), 'grade:3'))";
+  // `maybe` is NULL on every 100th row.
+  const std::string null_level =
+      "SELECT * FROM TABLE(effect_code((SELECT * FROM codes), 'maybe:3'))";
+  for (const int vectorized : {0, 1}) {
+    SCOPED_TRACE("vectorized=" + std::to_string(vectorized));
+    auto range = Run(engine.get(), out_of_range, vectorized);
+    EXPECT_TRUE(range.status().IsOutOfRange()) << range.status();
+    auto null = Run(engine.get(), null_level, vectorized);
+    EXPECT_TRUE(null.status().IsInvalidArgument()) << null.status();
+    EXPECT_NE(null.status().message().find("non-integer"), std::string::npos)
+        << null.status();
+  }
+}
+
+TEST_F(BatchUdfDifferentialTest, LocalDistinctBatchPathYieldsSameRecodeMap) {
+  for (const int workers : {1, 4}) {
+    for (const size_t rows : {size_t{1}, kSqlBatchRows + 1}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " rows=" + std::to_string(rows));
+      SqlEnginePtr engine = MakeEngine(workers, rows);
+      InSqlTransformer transformer(engine);
+      SetVectorizedSqlEnabledForTest(0);
+      auto row_map = transformer.ComputeRecodeMap("SELECT * FROM codes",
+                                                  {"tag"});
+      SetVectorizedSqlEnabledForTest(1);
+      auto batch_map = transformer.ComputeRecodeMap("SELECT * FROM codes",
+                                                    {"tag"});
+      ASSERT_TRUE(row_map.ok()) << row_map.status();
+      ASSERT_TRUE(batch_map.ok()) << batch_map.status();
+      EXPECT_EQ(*row_map, *batch_map);
+      std::set<int64_t> tags;  // The generator's distinct non-NULL tags.
+      for (int64_t id = 0; id < static_cast<int64_t>(rows) * workers; ++id) {
+        if (id % 5 != 0) tags.insert(id % 37);
+      }
+      EXPECT_EQ(row_map->Cardinality("tag"), static_cast<int>(tags.size()));
+    }
   }
 }
 
