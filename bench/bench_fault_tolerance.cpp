@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
     options.reader.recovery_enabled = resilient;
     std::optional<ScopedFailpoint> fault;
     if (inject) {
-      fault.emplace("stream.reader.row.split1",
-                    "after(" + std::to_string(expected / 16 - 1) +
-                        "):error(1)");
+      // Split 1's reader drops its connection after its first batch.
+      fault.emplace("stream.reader.row.split1", "error(1)");
     }
     Stopwatch watch;
     auto result = StreamingTransfer::Run(env->engine.get(),

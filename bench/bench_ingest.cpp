@@ -8,10 +8,10 @@
 // from an already-materialized table so the SQL work is identical).
 //
 // A second mode (--check, also run standalone) isolates the receive side of
-// the transfer: the same frames decoded row-wise (RowCodec + boxed Values +
-// Dataset::FromRows) versus columnar (kColData decode + ColumnBatch append +
-// Dataset::FromColumns). With SQLINK_BENCH_JSON set it emits one JSON line
-// per mode; --check exits non-zero when columnar fails to beat rows.
+// the transfer: kColData frames decoded into ColumnBatches, appended per
+// partition, and gathered into labeled points (Dataset::FromColumns). With
+// SQLINK_BENCH_JSON set it emits one JSON line; --check runs only this
+// smoke and exits non-zero on any decode or ingest error.
 
 #include <cstring>
 
@@ -23,7 +23,6 @@
 #include "stream/streaming_transfer.h"
 #include "stream/wire.h"
 #include "table/column_batch.h"
-#include "table/row_codec.h"
 
 using namespace sqlink;
 using sqlink::bench::BenchEnv;
@@ -33,8 +32,8 @@ namespace {
 constexpr int kPartitions = 4;
 constexpr size_t kFrameRows = 4096;
 
-/// Frame-decode → feature-matrix comparison over identical payload bytes.
-int RunDecodeToDataset(int64_t num_rows, bool check) {
+/// Frame decode → feature matrix over pre-encoded kColData payloads.
+int RunDecodeToDataset(int64_t num_rows) {
   auto schema = Schema::Make({{"label", DataType::kInt64},
                               {"f1", DataType::kDouble},
                               {"f2", DataType::kDouble},
@@ -43,10 +42,9 @@ int RunDecodeToDataset(int64_t num_rows, bool check) {
                               {"f5", DataType::kDouble},
                               {"f6", DataType::kDouble}});
   Random rng(29);
-  // Pre-encode both wire representations of the same rows, split into
-  // kPartitions channels of kFrameRows-row frames — the shape the reader
-  // sees off the socket. Decode + materialization is what's timed.
-  std::vector<std::vector<std::string>> row_frames(kPartitions);
+  // Pre-encode the rows as kPartitions channels of kFrameRows-row frames —
+  // the shape the reader sees off the socket. Decode + materialization is
+  // what's timed.
   std::vector<std::vector<std::string>> col_frames(kPartitions);
   for (int p = 0; p < kPartitions; ++p) {
     ColumnarChannelEncoder encoder(schema);
@@ -66,7 +64,6 @@ int RunDecodeToDataset(int64_t num_rows, bool check) {
         }
         rows.push_back(std::move(row));
       }
-      row_frames[p].push_back(RowCodec::EncodeRows(rows));
       auto batch = ColumnBatch::FromRows(schema, rows);
       if (!batch.ok()) return 1;
       std::string payload;
@@ -75,30 +72,6 @@ int RunDecodeToDataset(int64_t num_rows, bool check) {
     }
   }
 
-  // Row path: decode every frame into boxed Rows, then gather features.
-  double row_ms = 1e18;
-  size_t row_points = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    Stopwatch watch;
-    ml::RowDataset dataset;
-    dataset.schema = schema;
-    dataset.partitions.resize(kPartitions);
-    for (int p = 0; p < kPartitions; ++p) {
-      for (const std::string& payload : row_frames[p]) {
-        auto rows = RowCodec::DecodeRows(payload);
-        if (!rows.ok()) return 1;
-        auto& partition = dataset.partitions[static_cast<size_t>(p)];
-        partition.reserve(partition.size() + rows->size());
-        for (Row& row : *rows) partition.push_back(std::move(row));
-      }
-    }
-    auto points = ml::Dataset::FromRowsAutoFeatures(dataset, "label");
-    if (!points.ok()) return 1;
-    row_points = points->TotalPoints();
-    row_ms = std::min(row_ms, watch.ElapsedSeconds() * 1000.0);
-  }
-
-  // Columnar path: decode kColData payloads straight into ColumnBatches.
   double col_ms = 1e18;
   size_t col_points = 0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -124,39 +97,24 @@ int RunDecodeToDataset(int64_t num_rows, bool check) {
     col_points = points->TotalPoints();
     col_ms = std::min(col_ms, watch.ElapsedSeconds() * 1000.0);
   }
-  if (row_points != col_points) {
-    std::fprintf(stderr, "point count mismatch\n");
+  const int64_t expected = num_rows / kPartitions * kPartitions;
+  if (col_points != static_cast<size_t>(expected)) {
+    std::fprintf(stderr, "point count mismatch: %zu of %lld\n", col_points,
+                 static_cast<long long>(expected));
     return 1;
   }
 
-  const auto total = static_cast<double>(row_points);
-  const double row_rate = total / row_ms * 1000.0;
-  const double col_rate = total / col_ms * 1000.0;
-  const double speedup = row_ms / col_ms;
+  const double col_rate = static_cast<double>(col_points) / col_ms * 1000.0;
   std::printf("=== Frame decode -> feature matrix ===\n");
-  std::printf("rows: %zu, partitions: %d, frame rows: %zu\n\n", row_points,
+  std::printf("rows: %zu, partitions: %d, frame rows: %zu\n", col_points,
               kPartitions, kFrameRows);
-  std::printf("%-10s %12s %16s\n", "mode", "wall(ms)", "rows/sec");
-  std::printf("%-10s %12.3f %16.0f\n", "row", row_ms, row_rate);
-  std::printf("%-10s %12.3f %16.0f\n", "columnar", col_ms, col_rate);
-  std::printf("\ncolumnar speedup: %.2fx\n\n", speedup);
+  std::printf("wall: %.3f ms, %.0f rows/sec\n\n", col_ms, col_rate);
 
-  sqlink::bench::BenchJsonLine("ingest.decode_to_dataset")
-      .Param("mode", "row")
-      .Param("rows", static_cast<int64_t>(row_points))
-      .Param("rows_per_sec", row_rate)
-      .Emit(row_ms);
   sqlink::bench::BenchJsonLine("ingest.decode_to_dataset")
       .Param("mode", "columnar")
       .Param("rows", static_cast<int64_t>(col_points))
       .Param("rows_per_sec", col_rate)
-      .Param("speedup", speedup)
       .Emit(col_ms);
-
-  if (check && speedup < 1.0) {
-    std::fprintf(stderr, "CHECK FAILED: columnar slower than row path\n");
-    return 2;
-  }
   return 0;
 }
 
@@ -172,7 +130,7 @@ int main(int argc, char** argv) {
       max_rows = std::atoll(argv[i]);
     }
   }
-  const int decode_rc = RunDecodeToDataset(max_rows, check);
+  const int decode_rc = RunDecodeToDataset(max_rows);
   if (decode_rc != 0 || check) return decode_rc;
 
   std::printf("=== ML ingest: DFS files vs parallel streaming ===\n\n");

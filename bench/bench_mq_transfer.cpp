@@ -52,9 +52,8 @@ int main(int argc, char** argv) {
     StreamTransferOptions options;
     options.sink.resilient = true;
     options.reader.recovery_enabled = true;
-    ScopedFailpoint fault(
-        "stream.reader.row.split1",
-        "after(" + std::to_string(expected / 16 - 1) + "):error(1)");
+    // Split 1's reader drops its connection after its first batch.
+    ScopedFailpoint fault("stream.reader.row.split1", "error(1)");
     Stopwatch watch;
     auto direct = StreamingTransfer::Run(env->engine.get(),
                                          "SELECT * FROM src", options);

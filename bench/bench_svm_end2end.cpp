@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   ml::JobContext context;
   context.cluster = env->cluster;
   ml::MlJobRunner runner(context);
-  auto ingest = runner.IngestColumns(&format);
+  auto ingest = runner.Ingest(&format);
   if (!ingest.ok()) return 1;
   const double read_seconds = read_watch.ElapsedSeconds();
 

@@ -37,30 +37,19 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 run_suites "${BUILD_DIR}"
 
-# The columnar hot path (SQLINK_COLUMNAR, default on) must be a pure
-# optimization: the whole suite reruns with the row path forced.
-echo "==> [${BUILD_DIR}] row-path suite (SQLINK_COLUMNAR=off)"
-(cd "${BUILD_DIR}" &&
- SQLINK_COLUMNAR=off ctest -L 'unit|chaos' --output-on-failure -j "${JOBS}")
-
-# The multiplexed transfer fabric (SQLINK_MUX, default on) must be a pure
-# transport optimization: the whole suite reruns with the legacy
-# one-socket-per-transfer path forced.
-echo "==> [${BUILD_DIR}] legacy-transport suite (SQLINK_MUX=off)"
-(cd "${BUILD_DIR}" &&
- SQLINK_MUX=off ctest -L 'unit|chaos' --output-on-failure -j "${JOBS}")
-
-# Likewise the vectorized SQL engine (SQLINK_VECTORIZED_SQL, default on):
+# The vectorized SQL engine (SQLINK_VECTORIZED_SQL, default on):
 # the unit suite reruns with the row-at-a-time operators forced, so both
 # engine modes stay green against the same goldens and differential checks.
 echo "==> [${BUILD_DIR}] row-engine suite (SQLINK_VECTORIZED_SQL=off)"
 (cd "${BUILD_DIR}" &&
  SQLINK_VECTORIZED_SQL=off ctest -L unit --output-on-failure -j "${JOBS}")
 
-# Bench smoke: the default build is Release, so the row-vs-columnar micro
-# benches run here directly. --check fails the stage if the columnar path
-# is ever slower than the row path; the JSON series lands in BENCH_pr4.json.
-echo "==> [${BUILD_DIR}] bench smoke (row vs columnar)"
+# Bench smoke: the default build is Release, so the transform and ingest
+# micro benches run here directly. bench_transform --check fails the stage
+# if the columnar transform is ever slower than the row path; bench_ingest
+# --check fails on any decode or ingest error. The JSON series lands in
+# BENCH_pr4.json.
+echo "==> [${BUILD_DIR}] bench smoke (transform + columnar ingest)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_transform bench_ingest
 BENCH_JSON="$(pwd)/BENCH_pr4.json"
 rm -f "${BENCH_JSON}"
@@ -85,12 +74,11 @@ SERVING_BENCH_JSON="$(pwd)/BENCH_pr8.json"
 rm -f "${SERVING_BENCH_JSON}"
 SQLINK_BENCH_JSON="${SERVING_BENCH_JSON}" "${BUILD_DIR}/bench/bench_serving" --smoke --check
 
-# Mux fabric smoke: 1/4/16/64 concurrent streaming pipelines with the
-# shared connection pool on and off — --check fails if mux mode dials more
-# than 2 x SQLINK_MUX_CONNS_PER_PEER x peers data sockets at 64 clients,
-# if p99 regresses past the unmuxed baseline, or if any transfer fails.
+# Mux fabric smoke: 1/4/16/64 concurrent streaming pipelines over the
+# shared connection pool — --check fails if more than 2 x conns-per-peer x
+# peers data sockets are dialed at 64 clients, or if any transfer fails.
 # Series lands in BENCH_pr9.json.
-echo "==> [${BUILD_DIR}] bench smoke (mux fabric sockets + tail latency)"
+echo "==> [${BUILD_DIR}] bench smoke (mux fabric sockets)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_mux
 MUX_BENCH_JSON="$(pwd)/BENCH_pr9.json"
 rm -f "${MUX_BENCH_JSON}"
@@ -201,7 +189,6 @@ serving_smoke() {
 }
 serving_smoke "" "vectorized engine"
 serving_smoke "SQLINK_VECTORIZED_SQL=off" "row engine"
-serving_smoke "SQLINK_MUX=off" "legacy transport"
 
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"

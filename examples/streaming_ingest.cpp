@@ -42,7 +42,7 @@ int Run(int64_t rows) {
   {
     StreamTransferOptions options;
     options.splits_per_worker = 2;
-    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
+    auto result = StreamingTransfer::Run(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "transfer: %s\n",
                    result.status().ToString().c_str());
@@ -58,14 +58,14 @@ int Run(int64_t rows) {
 
   // Fault-tolerant transfer (§6): retained logs on the SQL side, one ML
   // reader drops its connection mid-stream and replays. The reader
-  // failpoints probe once per delivery — a whole decoded frame on the
-  // columnar ingest — so they fire after a few frames.
+  // failpoints probe once per delivery — a whole decoded frame — so they
+  // fire after a few frames.
   {
     StreamTransferOptions options;
     options.sink.resilient = true;
     options.reader.recovery_enabled = true;
     ScopedFailpoint fault("stream.reader.row.split2", "after(2):error(1)");
-    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
+    auto result = StreamingTransfer::Run(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "resilient transfer: %s\n",
                    result.status().ToString().c_str());
@@ -96,7 +96,7 @@ int Run(int64_t rows) {
     options.reader.heartbeat_ms = 20;
     options.reader.recovery_enabled = true;
     ScopedFailpoint fault("stream.reader.kill.split1", "after(2):error(1)");
-    auto result = StreamingTransfer::RunToColumns(engine.get(), query, options);
+    auto result = StreamingTransfer::Run(engine.get(), query, options);
     if (!result.ok()) {
       std::fprintf(stderr, "recovery transfer: %s\n",
                    result.status().ToString().c_str());

@@ -186,6 +186,9 @@ Status FailpointRegistry::Configure(const std::string& name,
   Entry entry;
   entry.spec = spec;
   entry.rng = Random(spec.seed);
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  entry.hits_counter = metrics.GetCounter("failpoint." + name + ".hits");
+  entry.fired_counter = metrics.GetCounter("failpoint." + name + ".fired");
   entries_[name] = std::move(entry);
   if (!was_armed) active_count_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -249,6 +252,8 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
   int delay_ms = 0;
   FailpointOutcome outcome = FailpointOutcome::kNone;
   bool fired = false;
+  Counter* hits_counter = nullptr;
+  Counter* fired_counter = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(name);
@@ -258,6 +263,8 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
     }
     Entry& entry = it->second;
     ++entry.hits;
+    hits_counter = entry.hits_counter;
+    fired_counter = entry.fired_counter;
     const FailpointSpec& spec = entry.spec;
     const int64_t eligible = entry.hits - spec.skip_hits;
     const bool triggers =
@@ -282,12 +289,8 @@ FailpointOutcome FailpointRegistry::Evaluate(std::string_view name) {
       }
     }
   }
-  MetricsRegistry::Global().Increment("failpoint." + std::string(name) +
-                                      ".hits");
-  if (fired) {
-    MetricsRegistry::Global().Increment("failpoint." + std::string(name) +
-                                        ".fired");
-  }
+  hits_counter->Increment();
+  if (fired) fired_counter->Increment();
   if (delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
   }

@@ -13,6 +13,8 @@
 
 namespace sqlink {
 
+class Counter;
+
 /// What an armed failpoint tells its call site to do. Delay actions sleep
 /// inside Evaluate() and report kNone, so call sites only ever branch on
 /// error-shaped outcomes.
@@ -99,6 +101,9 @@ class FailpointRegistry {
     Random rng{0};
     int64_t hits = 0;
     int64_t fires = 0;
+    /// "failpoint.<name>.hits" / ".fired", resolved when the entry is armed.
+    Counter* hits_counter = nullptr;
+    Counter* fired_counter = nullptr;
   };
 
   FailpointRegistry();

@@ -134,9 +134,8 @@ class Histogram {
 ///
 /// Hot paths should acquire a typed handle once (`GetCounter` etc. — the
 /// returned pointer stays valid and keeps its identity for the registry's
-/// lifetime, across Reset()) and then update it lock-free. The string-keyed
-/// Add/Increment/Get API is a compatibility shim that pays one mutex-guarded
-/// map lookup per call.
+/// lifetime, across Reset()) and then update it lock-free. Reading a
+/// counter by name (Get) pays one mutex-guarded map lookup per call.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -149,11 +148,6 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  // --- Legacy string API (thin shim over GetCounter) -----------------------
-  void Add(const std::string& name, int64_t delta) {
-    GetCounter(name)->Add(delta);
-  }
-  void Increment(const std::string& name) { Add(name, 1); }
   /// Current value of counter `name`; 0 when absent.
   int64_t Get(const std::string& name) const;
 

@@ -1,5 +1,6 @@
 #include "exttool/external_transform.h"
 
+#include <functional>
 #include <optional>
 #include <set>
 
@@ -10,6 +11,25 @@
 #include "table/csv.h"
 
 namespace sqlink {
+
+namespace {
+
+/// Feeds every row of a text split to `visit`, one parsed batch at a time.
+Status ForEachRow(ml::RecordReader* reader,
+                  const std::function<Status(Row&)>& visit) {
+  ColumnBatch batch;
+  Row row;
+  for (;;) {
+    ASSIGN_OR_RETURN(bool has, reader->NextBatch(&batch));
+    if (!has) return Status::OK();
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      batch.EmitRow(r, &row);
+      RETURN_IF_ERROR(visit(row));
+    }
+  }
+}
+
+}  // namespace
 
 Result<ExternalTransformTool::Result_> ExternalTransformTool::Run(
     const std::string& input_path, SchemaPtr input_schema,
@@ -53,16 +73,13 @@ Result<ExternalTransformTool::Result_> ExternalTransformTool::Run(
       ASSIGN_OR_RETURN(std::unique_ptr<ml::RecordReader> reader,
                        format.CreateReader(context, *splits[i],
                                            static_cast<int>(i)));
-      Row row;
-      for (;;) {
-        ASSIGN_OR_RETURN(bool has, reader->Next(&row));
-        if (!has) break;
+      return ForEachRow(reader.get(), [&](Row& row) {
         for (size_t c = 0; c < recode_indices.size(); ++c) {
           const Value& v = row[static_cast<size_t>(recode_indices[c])];
           if (!v.is_null()) local[i][c].insert(v.string_value());
         }
-      }
-      return Status::OK();
+        return Status::OK();
+      });
     };
     statuses[i] = run();
   });
@@ -139,10 +156,7 @@ Result<ExternalTransformTool::Result_> ExternalTransformTool::Run(
           dfs_->Create(output_path + "/part-" + std::to_string(i), node));
       CsvCodec codec;
       std::string buffer;
-      Row row;
-      for (;;) {
-        ASSIGN_OR_RETURN(bool has, reader->Next(&row));
-        if (!has) break;
+      RETURN_IF_ERROR(ForEachRow(reader.get(), [&](Row& row) -> Status {
         Row out;
         for (size_t col = 0; col < row.size(); ++col) {
           const ColumnPlan& plan = plans[col];
@@ -172,7 +186,8 @@ Result<ExternalTransformTool::Result_> ExternalTransformTool::Run(
           RETURN_IF_ERROR(writer->Append(buffer));
           buffer.clear();
         }
-      }
+        return Status::OK();
+      }));
       if (!buffer.empty()) RETURN_IF_ERROR(writer->Append(buffer));
       return writer->Close();
     };

@@ -8,14 +8,7 @@ namespace sqlink::ml {
 
 namespace {
 
-double NumericOrZero(const Value& value) {
-  if (value.is_null()) return 0.0;
-  auto d = value.AsDouble();
-  return d.ok() ? *d : 0.0;
-}
-
-/// Columnar analogue of NumericOrZero: NULLs and strings are 0, exactly as
-/// AsDouble-based boxing would produce.
+/// The cell as a double; NULLs and strings are 0.
 double NumericAt(const Column& col, size_t row) {
   if (col.IsNull(row)) return 0.0;
   switch (col.type) {
@@ -32,7 +25,7 @@ double NumericAt(const Column& col, size_t row) {
 }
 
 /// Validates the label/feature selection against `schema` and resolves the
-/// feature indices (shared by the row and columnar constructors).
+/// feature indices.
 Result<std::vector<int>> ResolveFeatures(
     const SchemaPtr& schema, const std::vector<std::string>& feature_columns) {
   std::vector<int> feature_indices;
@@ -63,34 +56,6 @@ std::vector<std::string> AutoFeatures(const SchemaPtr& schema,
 }
 
 }  // namespace
-
-Result<Dataset> Dataset::FromRows(
-    const RowDataset& rows, const std::string& label_column,
-    const std::vector<std::string>& feature_columns) {
-  ASSIGN_OR_RETURN(int label_index, rows.schema->RequireField(label_column));
-  ASSIGN_OR_RETURN(std::vector<int> feature_indices,
-                   ResolveFeatures(rows.schema, feature_columns));
-
-  std::vector<std::vector<LabeledPoint>> partitions(rows.partitions.size());
-  ParallelFor(rows.partitions.size(), [&](size_t p) {
-    partitions[p].reserve(rows.partitions[p].size());
-    for (const Row& row : rows.partitions[p]) {
-      LabeledPoint point;
-      point.label = NumericOrZero(row[static_cast<size_t>(label_index)]);
-      point.features.reserve(feature_indices.size());
-      for (int f : feature_indices) {
-        point.features.push_back(NumericOrZero(row[static_cast<size_t>(f)]));
-      }
-      partitions[p].push_back(std::move(point));
-    }
-  });
-  return Dataset(std::move(partitions), feature_columns.size());
-}
-
-Result<Dataset> Dataset::FromRowsAutoFeatures(const RowDataset& rows,
-                                              const std::string& label_column) {
-  return FromRows(rows, label_column, AutoFeatures(rows.schema, label_column));
-}
 
 Result<Dataset> Dataset::FromColumns(
     const ColumnDataset& columns, const std::string& label_column,

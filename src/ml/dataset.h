@@ -21,23 +21,10 @@ struct LabeledPoint {
   bool operator==(const LabeledPoint& other) const = default;
 };
 
-/// Typed rows held in memory, one slice per ML worker — the ingestion
-/// output before feature extraction (the "in-memory RDD" of the paper's
-/// Spark measurements).
-struct RowDataset {
-  SchemaPtr schema;
-  std::vector<std::vector<Row>> partitions;
-
-  size_t TotalRows() const {
-    size_t total = 0;
-    for (const auto& p : partitions) total += p.size();
-    return total;
-  }
-};
-
-/// Columnar counterpart of RowDataset: one ColumnBatch per ML worker, as
-/// produced by the columnar ingest path (no boxed Value rows anywhere
-/// between the wire and feature extraction).
+/// Typed columns held in memory, one ColumnBatch per ML worker — the
+/// ingestion output before feature extraction (the "in-memory RDD" of the
+/// paper's Spark measurements). No boxed Value rows anywhere between the
+/// wire and feature extraction.
 struct ColumnDataset {
   SchemaPtr schema;
   std::vector<ColumnBatch> partitions;
@@ -57,24 +44,16 @@ class Dataset {
   Dataset(std::vector<std::vector<LabeledPoint>> partitions, size_t dimension)
       : partitions_(std::move(partitions)), dimension_(dimension) {}
 
-  /// Converts rows to labeled points: `label_column` holds the label,
-  /// `feature_columns` the features; all must be numeric (NULLs become 0 —
-  /// transformed ML input has no NULLs in practice).
-  static Result<Dataset> FromRows(const RowDataset& rows,
-                                  const std::string& label_column,
-                                  const std::vector<std::string>& feature_columns);
-
-  /// Uses every column except `label_column` as a feature, in schema order.
-  static Result<Dataset> FromRowsAutoFeatures(const RowDataset& rows,
-                                              const std::string& label_column);
-
-  /// Columnar ingest: gathers features straight from the typed column
-  /// vectors — no Value boxing per cell. Same semantics as FromRows (NULLs
-  /// and non-numeric labels become 0; STRING features are rejected).
+  /// Converts columns to labeled points: `label_column` holds the label,
+  /// `feature_columns` the features, gathered straight from the typed
+  /// column vectors — no Value boxing per cell. NULLs and non-numeric
+  /// labels become 0 (transformed ML input has no NULLs in practice);
+  /// STRING features are rejected.
   static Result<Dataset> FromColumns(
       const ColumnDataset& columns, const std::string& label_column,
       const std::vector<std::string>& feature_columns);
 
+  /// Uses every column except `label_column` as a feature, in schema order.
   static Result<Dataset> FromColumnsAutoFeatures(
       const ColumnDataset& columns, const std::string& label_column);
 

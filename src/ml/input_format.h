@@ -58,17 +58,19 @@ class RecordReader {
   /// at-least-once replay into exactly-once apply.
   virtual uint64_t resume_row_count() const { return 0; }
 
-  /// Fills `*out` and returns true, or false at end of split.
-  virtual Result<bool> Next(Row* out) = 0;
-
-  /// Whether NextBatch delivers data more cheaply than row-at-a-time Next —
-  /// true for readers whose transport is already columnar.
+  /// Whether the reader delivers columnar batches (NextBatch) rather than
+  /// rows (Next). A reader implements exactly the one it advertises.
   virtual bool SupportsBatches() const { return false; }
 
+  /// Fills `*out` and returns true, or false at end of split. Row readers
+  /// only.
+  virtual Result<bool> Next(Row* out) {
+    (void)out;
+    return Status::Unimplemented("reader delivers columnar batches only");
+  }
+
   /// Fills `*out` with the next columnar batch and returns true, or false
-  /// at end of split. Rows delivered through either interface count the
-  /// same toward resume_row_count bookkeeping; a split must be consumed
-  /// through one interface, not a mix.
+  /// at end of split. Batch readers only.
   virtual Result<bool> NextBatch(ColumnBatch* out) {
     (void)out;
     return Status::Unimplemented("reader does not support columnar batches");

@@ -22,11 +22,6 @@ struct IngestStats {
 };
 
 struct IngestResult {
-  RowDataset dataset;
-  IngestStats stats;
-};
-
-struct ColumnIngestResult {
   ColumnDataset dataset;
   IngestStats stats;
 };
@@ -35,19 +30,16 @@ struct ColumnIngestResult {
 /// per InputSplit, places workers on the split's preferred node when
 /// possible (best-effort locality, as the paper's coordinator arranges),
 /// reads every record through the InputFormat, and materializes the
-/// in-memory RowDataset that training algorithms consume.
+/// in-memory ColumnDataset that training algorithms consume.
 class MlJobRunner {
  public:
   explicit MlJobRunner(JobContext context) : context_(std::move(context)) {}
 
-  /// Runs the ingestion phase: GetSplits → parallel read → RowDataset.
+  /// Runs the ingestion phase: GetSplits → parallel read → ColumnDataset.
+  /// Each partition accumulates as a ColumnBatch: readers that support
+  /// batch delivery (SupportsBatches) feed it whole batches with no per-row
+  /// Value boxing; row readers fall back to row appends.
   Result<IngestResult> Ingest(InputFormat* format);
-
-  /// Columnar ingestion: the same split/recovery protocol, but each
-  /// partition accumulates as a ColumnBatch — readers that support batch
-  /// delivery (SupportsBatches) feed it whole frames with no per-row Value
-  /// boxing; others fall back to row appends.
-  Result<ColumnIngestResult> IngestColumns(InputFormat* format);
 
   const JobContext& context() const { return context_; }
 

@@ -10,22 +10,13 @@ namespace {
 /// Lines per NextBatch: amortizes the batch append into the partition.
 constexpr size_t kTextBatchRows = 4096;
 
-/// Parses each line of a split into a typed row, or a run of lines straight
-/// into the typed column vectors of a batch.
+/// Parses a run of a split's lines straight into the typed column vectors
+/// of a batch.
 class TextRecordReader final : public RecordReader {
  public:
   TextRecordReader(std::unique_ptr<DfsLineReader> lines, const CsvCodec* codec,
                    SchemaPtr schema)
       : lines_(std::move(lines)), codec_(codec), schema_(std::move(schema)) {}
-
-  Result<bool> Next(Row* out) override {
-    if (!lines_->Next(&line_)) {
-      RETURN_IF_ERROR(lines_->status());
-      return false;
-    }
-    ASSIGN_OR_RETURN(*out, codec_->ParseRow(line_, *schema_));
-    return true;
-  }
 
   bool SupportsBatches() const override { return true; }
 

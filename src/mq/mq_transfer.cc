@@ -18,7 +18,7 @@ constexpr int kPollTimeoutMs = 100;
 constexpr int kMaxIdlePolls = 600;  // 60 s of broker silence -> error.
 
 /// Encodes a batch of rows as one broker message:
-/// varint row count + concatenated encoded rows (same as a kData frame).
+/// varint row count + concatenated RowCodec rows.
 class MessageBatcher {
  public:
   void Add(const Row& row) {

@@ -29,7 +29,7 @@ struct MqTransferOptions {
 };
 
 struct MqTransferResult {
-  ml::RowDataset dataset;
+  ml::ColumnDataset dataset;
   int64_t rows_published = 0;
   int64_t messages_published = 0;
   /// Messages re-read after the injected failure (recovery tail; compare
@@ -69,7 +69,7 @@ class MqInputFormat final : public ml::InputFormat {
 
 /// Runs the whole broker-mediated pipeline for one query: creates the
 /// topic, executes the query with the mq sink UDF (publishing), and
-/// concurrently ingests the topic into a RowDataset.
+/// concurrently ingests the topic into a ColumnDataset.
 class MqTransfer {
  public:
   static Result<MqTransferResult> Run(SqlEngine* engine,

@@ -15,6 +15,21 @@
 
 namespace sqlink {
 
+/// Shared data connections per sink peer. Channels map to a connection by
+/// hash of their split id, so a channel reconnects onto the same socket.
+inline constexpr int kMuxConnsPerPeer = 4;
+
+/// Initial + replenished per-channel credit in bytes granted to a sink's
+/// data frames. A channel that exhausts its window parks alone;
+/// socket-mates keep flowing.
+inline constexpr int64_t kMuxChannelWindowBytes = int64_t{4} << 20;
+
+/// The pool size in effect: kMuxConnsPerPeer unless a test forced another.
+int MuxConnsPerPeer();
+
+/// Test hook: > 0 = forced pool size, <= 0 = back to kMuxConnsPerPeer.
+void SetMuxConnsPerPeerForTest(int conns);
+
 /// Reader-side pool of shared mux connections, at most MuxConnsPerPeer()
 /// per sink endpoint. Channels land on a connection by hash of their
 /// affinity key (the split id), so a reconnecting reader re-multiplexes
@@ -29,7 +44,7 @@ class MuxConnPool {
   /// host:port, dialing a shared connection lazily if the affinity slot is
   /// empty or its connection has died. The embedded HELLO opens the stream;
   /// the sink answers on the channel (kResume first).
-  Result<FrameChannelPtr> OpenChannel(const std::string& host, int port,
+  Result<MuxChannelPtr> OpenChannel(const std::string& host, int port,
                                       uint64_t sink_key, uint64_t affinity,
                                       const HelloMessage& hello);
 
@@ -56,7 +71,7 @@ class MuxSinkServer {
   /// Called on a connection's demux thread for each kOpenChannel routed to
   /// this sink_key. Must not block (hand the channel to a queue).
   using ChannelHandler =
-      std::function<void(FrameChannelPtr, const OpenChannelMessage&)>;
+      std::function<void(MuxChannelPtr, const OpenChannelMessage&)>;
 
   static MuxSinkServer& Global();
 
@@ -74,7 +89,7 @@ class MuxSinkServer {
   MuxSinkServer() = default;
 
   void AcceptLoop();
-  void Dispatch(FrameChannelPtr channel, const OpenChannelMessage& msg);
+  void Dispatch(MuxChannelPtr channel, const OpenChannelMessage& msg);
 
   std::mutex mu_;
   TcpListener listener_;

@@ -36,7 +36,7 @@ struct MuxMetrics {
           registry.GetCounter("net.mux.coalesced_frames"),
           registry.GetCounter("net.mux.window_stalls"),
           registry.GetCounter("net.mux.slow_channels"),
-          // Shared with the direct path: a frame is a frame either way.
+          // Shared with SendFrame: a frame is a frame either way.
           registry.GetCounter("stream.wire.frames_sent"),
           registry.GetCounter("stream.wire.bytes_sent")};
     }();
@@ -53,9 +53,7 @@ int64_t SlowChannelThresholdMs() {
   return std::strtoll(env, nullptr, 10);
 }
 
-bool IsDataFrame(FrameType type) {
-  return type == FrameType::kData || type == FrameType::kColData;
-}
+bool IsDataFrame(FrameType type) { return type == FrameType::kColData; }
 
 Status ChannelClosedByPeer(const Status& close_status) {
   if (!close_status.ok()) return close_status;
@@ -63,62 +61,6 @@ Status ChannelClosedByPeer(const Status& close_status) {
 }
 
 }  // namespace
-
-// --- SocketFrameChannel -----------------------------------------------------
-
-SocketFrameChannel::SocketFrameChannel(TcpSocket socket)
-    : socket_(std::make_shared<TcpSocket>(std::move(socket))) {}
-
-SocketFrameChannel::SocketFrameChannel(std::shared_ptr<TcpSocket> socket)
-    : socket_(std::move(socket)) {}
-
-Status SocketFrameChannel::Send(FrameType type, std::string_view payload,
-                                uint64_t seq) {
-  return SendFrame(socket_.get(), type, payload, seq);
-}
-
-Result<bool> SocketFrameChannel::ExtractBuffered(Frame* frame) {
-  return ExtractFrame(&buffer_, frame);
-}
-
-Status SocketFrameChannel::Recv(Frame* frame) {
-  if (buffer_.empty() && !peer_closed_) {
-    return RecvFrameInto(socket_.get(), frame, &scratch_);
-  }
-  for (;;) {
-    ASSIGN_OR_RETURN(bool extracted, ExtractBuffered(frame));
-    if (extracted) return Status::OK();
-    if (peer_closed_) {
-      return Status::NetworkError(buffer_.empty() ? "closed"
-                                                  : "closed mid-message");
-    }
-    // Block for at least one byte, then drain whatever else arrived.
-    RETURN_IF_ERROR(socket_->RecvExactly(1, &scratch_));
-    buffer_.append(scratch_);
-    (void)socket_->TryRecv(64 << 10, &buffer_, &peer_closed_);
-  }
-}
-
-Result<bool> SocketFrameChannel::TryRecv(Frame* frame, bool* closed) {
-  if (!peer_closed_) {
-    RETURN_IF_ERROR(
-        socket_->TryRecv(64 << 10, &buffer_, &peer_closed_).status());
-  }
-  ASSIGN_OR_RETURN(bool extracted, ExtractBuffered(frame));
-  if (extracted) return true;
-  if (peer_closed_) {
-    if (!buffer_.empty()) {
-      return Status::NetworkError("closed mid-message");
-    }
-    *closed = true;
-  }
-  return false;
-}
-
-void SocketFrameChannel::Shutdown(const Status& status) {
-  (void)status;
-  socket_->ShutdownBoth();
-}
 
 // --- MuxChannel -------------------------------------------------------------
 
@@ -132,8 +74,8 @@ MuxChannel::~MuxChannel() { CloseInternal(Status::OK(), /*notify_peer=*/true); }
 
 Status MuxChannel::Send(FrameType type, std::string_view payload,
                         uint64_t seq) {
-  // Same fault surface as the direct path: chaos tests arm these points and
-  // must keep biting with the mux on.
+  // Same fault surface as SendFrame: chaos tests arm these points on the
+  // data plane.
   FailpointOutcome outcome = SQLINK_FAILPOINT("stream.wire.send_frame");
   if (outcome == FailpointOutcome::kNone && IsDataFrame(type)) {
     outcome = SQLINK_FAILPOINT("stream.wire.send_data");
@@ -304,7 +246,7 @@ MuxConn::~MuxConn() {
   socket_.Close();
 }
 
-Result<FrameChannelPtr> MuxConn::OpenChannel(const OpenChannelMessage& msg) {
+Result<MuxChannelPtr> MuxConn::OpenChannel(const OpenChannelMessage& msg) {
   std::shared_ptr<MuxChannel> channel;
   uint32_t id = 0;
   {
@@ -322,7 +264,7 @@ Result<FrameChannelPtr> MuxConn::OpenChannel(const OpenChannelMessage& msg) {
     channel->Fail(sent);
     return sent;
   }
-  return FrameChannelPtr(channel);
+  return channel;
 }
 
 void MuxConn::Shutdown(const Status& status) {

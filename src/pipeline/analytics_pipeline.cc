@@ -98,10 +98,10 @@ Result<PipelineResult> AnalyticsPipeline::PrepareNaive(
   context.cluster = engine_->cluster();
   context.metrics = engine_->metrics();
   ml::MlJobRunner runner(context);
-  ml::ColumnIngestResult ingest;
+  ml::IngestResult ingest;
   {
     TraceSpan stage("pipeline.ml_input");
-    ASSIGN_OR_RETURN(ingest, runner.IngestColumns(&format));
+    ASSIGN_OR_RETURN(ingest, runner.Ingest(&format));
   }
   result.timings.ml_input_seconds = input.ElapsedSeconds();
 
@@ -152,9 +152,9 @@ Result<PipelineResult> AnalyticsPipeline::PrepareInSql(
     // transfer's own root span ("stream.transfer") parents here through the
     // ambient context.
     TraceSpan stage("pipeline.stream_transfer");
-    ASSIGN_OR_RETURN(ColumnTransferResult transfer,
-                     StreamingTransfer::RunToColumns(
-                         engine_.get(), transformed_sql, options.stream));
+    ASSIGN_OR_RETURN(StreamTransferResult transfer,
+                     StreamingTransfer::Run(engine_.get(), transformed_sql,
+                                            options.stream));
     result.dataset = std::move(transfer.dataset);
     result.timings.prep_transform_seconds = prep_transform.ElapsedSeconds();
     result.timings.total_seconds = total.ElapsedSeconds();
@@ -184,10 +184,10 @@ Result<PipelineResult> AnalyticsPipeline::PrepareInSql(
   context.cluster = engine_->cluster();
   context.metrics = engine_->metrics();
   ml::MlJobRunner runner(context);
-  ml::ColumnIngestResult ingest;
+  ml::IngestResult ingest;
   {
     TraceSpan stage("pipeline.ml_input");
-    ASSIGN_OR_RETURN(ingest, runner.IngestColumns(&format));
+    ASSIGN_OR_RETURN(ingest, runner.Ingest(&format));
   }
   result.timings.ml_input_seconds = input.ElapsedSeconds();
 

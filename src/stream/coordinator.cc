@@ -56,6 +56,28 @@ const char* SplitStateName(SplitState state) {
   return "?";
 }
 
+/// The coordinator's event counters, resolved once per process.
+struct CoordinatorCounters {
+  Counter* aborts;
+  Counter* register_sql;
+  Counter* get_splits;
+  Counter* match;
+  Counter* rematch;
+
+  static const CoordinatorCounters& Get() {
+    static const CoordinatorCounters counters = [] {
+      MetricsRegistry& registry = MetricsRegistry::Global();
+      return CoordinatorCounters{
+          registry.GetCounter("coordinator.aborts"),
+          registry.GetCounter("coordinator.register_sql.count"),
+          registry.GetCounter("coordinator.get_splits.count"),
+          registry.GetCounter("coordinator.match.count"),
+          registry.GetCounter("coordinator.rematch.count")};
+    }();
+    return counters;
+  }
+};
+
 }  // namespace
 
 Result<std::unique_ptr<StreamCoordinator>> StreamCoordinator::Start(
@@ -166,7 +188,7 @@ void StreamCoordinator::AbortLocked(Status status) {
   aborted_ = true;
   abort_status_ = status.ok() ? Status::Aborted("query aborted") : status;
   LOG_ERROR() << "coordinator aborting query: " << abort_status_;
-  MetricsRegistry::Global().Increment("coordinator.aborts");
+  CoordinatorCounters::Get().aborts->Increment();
   // Wake barrier waiters so GetSplits/matchmaking surface the abort instead
   // of timing out.
   splits_ready_cv_.notify_all();
@@ -235,19 +257,19 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
     switch (frame->type) {
       case FrameType::kRegisterSql:
         status = HandleRegisterSql(socket, *frame);
-        MetricsRegistry::Global().Increment("coordinator.register_sql.count");
+        CoordinatorCounters::Get().register_sql->Increment();
         break;
       case FrameType::kGetSplits:
         status = HandleGetSplits(socket);
-        MetricsRegistry::Global().Increment("coordinator.get_splits.count");
+        CoordinatorCounters::Get().get_splits->Increment();
         break;
       case FrameType::kRegisterMl:
         status = HandleRegisterMl(socket, *frame, /*is_failure=*/false);
-        MetricsRegistry::Global().Increment("coordinator.match.count");
+        CoordinatorCounters::Get().match->Increment();
         break;
       case FrameType::kReportFailure:
         status = HandleRegisterMl(socket, *frame, /*is_failure=*/true);
-        MetricsRegistry::Global().Increment("coordinator.rematch.count");
+        CoordinatorCounters::Get().rematch->Increment();
         break;
       case FrameType::kHeartbeat:
         status = HandleHeartbeat(socket, *frame);

@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/trace.h"
 #include "net/conn_pool.h"
@@ -17,7 +16,6 @@
 #include "stream/heartbeat.h"
 #include "stream/socket.h"
 #include "table/column_batch.h"
-#include "table/row_codec.h"
 
 namespace sqlink {
 
@@ -31,16 +29,18 @@ RetryPolicy::Options ReconnectBackoffOptions(int split_id) {
   return options;
 }
 
-/// Receives one split's row stream from its SQL worker, with optional §6
-/// recovery (reconnect + sequence-numbered replay + dedupe), liveness
-/// heartbeats, and fault injection.
+/// Receives one split's stream of columnar frames from its SQL worker over
+/// a pooled mux channel, with optional §6 recovery (reconnect +
+/// sequence-numbered replay + dedupe), liveness heartbeats, and fault
+/// injection. Each decoded kColData frame is handed to the ML job whole, as
+/// one batch.
 ///
-/// Exactly-once apply protocol: every kData frame carries a monotonic
+/// Exactly-once apply protocol: every kColData frame carries a monotonic
 /// sequence number. The reader acknowledges frame N (cumulative kDataAck)
-/// only after every row of N has been handed to the ML job, drops frames
-/// with seq <= last applied as duplicates, and treats a sequence gap as a
-/// transport failure. On reconnect it offers its last applied sequence in
-/// HELLO; the sink replays exactly the unseen suffix.
+/// only after N has been handed to the ML job, drops frames with seq <=
+/// last applied as duplicates, and treats a sequence gap as a transport
+/// failure. On reconnect it offers its last applied sequence in HELLO; the
+/// sink replays exactly the unseen suffix.
 class StreamRecordReader final : public ml::RecordReader {
  public:
   StreamRecordReader(std::string coordinator_host, int coordinator_port,
@@ -49,7 +49,7 @@ class StreamRecordReader final : public ml::RecordReader {
       : coordinator_host_(std::move(coordinator_host)),
         coordinator_port_(coordinator_port),
         split_(std::move(split)),
-        // Precomputed so the per-row failpoint probe costs one atomic load
+        // Precomputed so the per-batch failpoint probe costs one atomic load
         // (the macro skips the name expression when nothing is armed).
         row_failpoint_name_("stream.reader.row.split" +
                             std::to_string(split_.split_id)),
@@ -65,8 +65,6 @@ class StreamRecordReader final : public ml::RecordReader {
         reconnect_counter_(metrics != nullptr
                                ? metrics->GetCounter("stream.reconnects")
                                : nullptr),
-        data_dials_(
-            MetricsRegistry::Global().GetCounter("stream.reader.data_dials")),
         frames_deduped_(
             MetricsRegistry::Global().GetCounter("transfer.frames_deduped")),
         reconnect_backoff_(ReconnectBackoffOptions(split_.split_id)) {
@@ -108,40 +106,7 @@ class StreamRecordReader final : public ml::RecordReader {
 
   uint64_t resume_row_count() const override { return resume_rows_; }
 
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      if (done_) return false;
-      if (heartbeat_ != nullptr && heartbeat_->revoked()) {
-        // Fenced or aborted: stop applying *now* — a replacement reader may
-        // be about to resume this partition.
-        CloseChannel(heartbeat_->status());
-        connected_ = false;
-        return heartbeat_->status();
-      }
-      if (!connected_) {
-        RETURN_IF_ERROR(Open());
-        continue;
-      }
-      auto row = NextFromConnection(out);
-      if (row.ok()) {
-        if (!*row) {
-          done_ = true;
-          CloseStreamSpan(/*error=*/false);
-          return false;
-        }
-        ++delivered_;
-        if (rows_delivered_ != nullptr) rows_delivered_->Increment();
-        RETURN_IF_ERROR(ProbeDeliveryFailpoints());
-        return true;
-      }
-      RETURN_IF_ERROR(HandleFailure(row.status()));
-    }
-  }
-
-  /// Whole-batch delivery is worthwhile only when the sink streams columnar
-  /// frames (same process-wide knob on both sides); with row frames the
-  /// conversion would just move the boxing cost around.
-  bool SupportsBatches() const override { return ColumnarEnabled(); }
+  bool SupportsBatches() const override { return true; }
 
   Result<bool> NextBatch(ColumnBatch* out) override {
     for (;;) {
@@ -214,6 +179,9 @@ class StreamRecordReader final : public ml::RecordReader {
       RETURN_IF_ERROR(SendFrame(&control, FrameType::kReportFailure,
                                 report.Encode()));
       ASSIGN_OR_RETURN(Frame match_frame, RecvFrame(&control));
+      if (match_frame.type == FrameType::kError) {
+        return DecodeStatusPayload(match_frame.payload);
+      }
       if (match_frame.type != FrameType::kMatch) {
         return Status::NetworkError("coordinator failed to re-match: " +
                                     match_frame.payload);
@@ -235,20 +203,13 @@ class StreamRecordReader final : public ml::RecordReader {
     // reassignment) lets the sink decide from its cumulative ack.
     hello.resume_seq =
         ever_connected_ ? static_cast<int64_t>(last_applied_seq_) : -1;
-    if (MuxEnabled() && sink_key != 0) {
-      // The HELLO rides inside kOpenChannel on a pooled shared connection;
-      // the sink's partition handler answers on the channel (kResume first).
-      ASSIGN_OR_RETURN(
-          channel_, MuxConnPool::Global().OpenChannel(
-                        host, port, sink_key,
-                        /*affinity=*/static_cast<uint64_t>(split_.split_id),
-                        hello));
-    } else {
-      ASSIGN_OR_RETURN(TcpSocket socket, TcpConnect(host, port));
-      data_dials_->Increment();
-      channel_ = std::make_shared<SocketFrameChannel>(std::move(socket));
-      RETURN_IF_ERROR(channel_->Send(FrameType::kHello, hello.Encode(), 0));
-    }
+    // The HELLO rides inside kOpenChannel on a pooled shared connection;
+    // the sink's partition handler answers on the channel (kResume first).
+    ASSIGN_OR_RETURN(
+        channel_, MuxConnPool::Global().OpenChannel(
+                      host, port, sink_key,
+                      /*affinity=*/static_cast<uint64_t>(split_.split_id),
+                      hello));
 
     Frame resume_frame;
     RETURN_IF_ERROR(channel_->Recv(&resume_frame));
@@ -281,7 +242,6 @@ class StreamRecordReader final : public ml::RecordReader {
     }
     Decoder schema_decoder(schema_frame.payload);
     ASSIGN_OR_RETURN(schema_, DecodeSchema(&schema_decoder));
-    if (!col_batch_.has_value()) col_batch_.emplace(schema_);
     // The per-connection span parents to the *sender's* span carried in the
     // schema frame header: the SQL worker's trace continues on the ML side.
     CloseStreamSpan(/*error=*/false);
@@ -293,26 +253,20 @@ class StreamRecordReader final : public ml::RecordReader {
     connected_ = true;
     ever_connected_ = true;
     if (batch_pending_) {
-      // The connection dropped while the staged frame was only partially
-      // handed to the ML job. Those delivered rows stay in the partition,
-      // and the frame was never committed or acked, so the sink will replay
-      // it; remember the delivered prefix so the replay skips exactly it.
+      // The connection dropped after the last frame was handed to the ML
+      // job but before it was committed or acked, so the sink will replay
+      // it; its rows already sit in the partition, so the replay must be
+      // committed without being delivered again.
       skip_seq_ = batch_seq_;
-      skip_rows_ = batch_index_;
     }
-    batch_.clear();
-    col_batch_->Clear();
-    staged_size_ = 0;
-    staged_columnar_ = false;
-    batch_index_ = 0;
     batch_pending_ = false;
     pending_ack_ = false;
     return Status::OK();
   }
 
-  /// Acknowledges the last fully-consumed frame. Called only once every row
-  /// of that frame has been returned from Next — i.e. applied by the ML job
-  /// — so the sink never trims a frame whose rows could still be lost.
+  /// Acknowledges the last consumed frame. Called only once that frame has
+  /// been returned from NextBatch — i.e. applied by the ML job — so the
+  /// sink never trims a frame whose rows could still be lost.
   Status FlushAck() {
     if (!pending_ack_) return Status::OK();
     pending_ack_ = false;
@@ -322,68 +276,22 @@ class StreamRecordReader final : public ml::RecordReader {
     return Status::OK();
   }
 
-  /// Next row from the live connection; false at clean end-of-stream.
-  Result<bool> NextFromConnection(Row* out) {
-    for (;;) {
-      if (batch_index_ < staged_size_) {
-        if (staged_columnar_) {
-          col_batch_->EmitRow(batch_index_++, out);
-        } else {
-          *out = std::move(batch_[batch_index_++]);
-        }
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool live, AdvanceToStagedFrame());
-      if (!live) return false;
-    }
-  }
-
-  /// The undelivered remainder of the staged frame as one columnar batch;
-  /// false at clean end-of-stream. The common case — a whole columnar frame
-  /// not yet touched — moves the decoded batch out without copying.
+  /// Commits the previously delivered frame, acknowledges it, and receives
+  /// until the next data frame is decoded into `*out`. Returns false at
+  /// clean end-of-stream.
   Result<bool> NextBatchFromConnection(ColumnBatch* out) {
-    for (;;) {
-      if (batch_index_ < staged_size_) {
-        if (staged_columnar_ && batch_index_ == 0) {
-          *out = std::move(*col_batch_);
-          col_batch_->Reset(schema_);
-        } else if (staged_columnar_) {
-          *out = col_batch_->Slice(batch_index_);
-        } else {
-          ColumnBatch converted(schema_);
-          converted.Reserve(staged_size_ - batch_index_);
-          for (size_t r = batch_index_; r < staged_size_; ++r) {
-            RETURN_IF_ERROR(converted.AppendRow(batch_[r]));
-          }
-          *out = std::move(converted);
-        }
-        batch_index_ = staged_size_;
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool live, AdvanceToStagedFrame());
-      if (!live) return false;
-    }
-  }
-
-  /// Commits the fully-delivered staged frame, acknowledges it, and
-  /// receives until the next data frame is staged. Returns false at clean
-  /// end-of-stream.
-  Result<bool> AdvanceToStagedFrame() {
     if (batch_pending_) {
-      // Every row of the staged frame has been handed to the ML job: only
-      // now does the durable cursor advance. Committing at decode time
-      // instead would make a reconnect resume past rows that were decoded
-      // but never delivered.
-      last_applied_seq_ = batch_seq_;
-      applied_rows_ += staged_size_;
+      // The delivered frame has been handed to the ML job: only now does
+      // the durable cursor advance. Committing at decode time instead
+      // would make a reconnect resume past rows that were decoded but
+      // never delivered.
+      Commit(batch_seq_, batch_rows_);
       batch_pending_ = false;
-      pending_ack_ = true;
     }
     RETURN_IF_ERROR(FlushAck());
     for (;;) {
       RETURN_IF_ERROR(channel_->Recv(&frame_));
       switch (frame_.type) {
-        case FrameType::kData:
         case FrameType::kColData: {
           if (SQLINK_FAILPOINT("stream.reader.frame") !=
               FailpointOutcome::kNone) {
@@ -403,37 +311,22 @@ class StreamRecordReader final : public ml::RecordReader {
                 std::to_string(last_applied_seq_ + 1) + ", got " +
                 std::to_string(frame_.seq));
           }
-          if (frame_.type == FrameType::kData) {
-            Decoder decoder(frame_.payload);
-            ASSIGN_OR_RETURN(uint64_t count, decoder.GetVarint64());
-            batch_.clear();
-            batch_.reserve(count);
-            for (uint64_t i = 0; i < count; ++i) {
-              ASSIGN_OR_RETURN(Row row, RowCodec::Decode(&decoder));
-              batch_.push_back(std::move(row));
-            }
-            staged_size_ = batch_.size();
-            staged_columnar_ = false;
-          } else {
-            RETURN_IF_ERROR(col_decoder_.DecodeBatch(frame_.payload, schema_,
-                                                     &*col_batch_));
-            staged_size_ = col_batch_->num_rows();
-            staged_columnar_ = true;
-          }
-          batch_index_ = 0;
-          if (frame_.seq == skip_seq_ && skip_rows_ > 0) {
-            // Replay of the frame that was in flight when the previous
-            // connection dropped: its first skip_rows_ rows already reached
-            // the partition, so deliver only the tail.
-            batch_index_ = std::min<size_t>(skip_rows_, staged_size_);
-          }
-          skip_seq_ = 0;
-          skip_rows_ = 0;
-          batch_seq_ = frame_.seq;
-          batch_pending_ = true;
+          RETURN_IF_ERROR(
+              col_decoder_.DecodeBatch(frame_.payload, schema_, out));
           if (bytes_received_ != nullptr) {
             bytes_received_->Add(static_cast<int64_t>(frame_.payload.size()));
           }
+          if (frame_.seq == skip_seq_) {
+            // Replay of the frame that was delivered when the previous
+            // connection dropped: its rows already reached the partition.
+            skip_seq_ = 0;
+            Commit(frame_.seq, out->num_rows());
+            RETURN_IF_ERROR(FlushAck());
+            continue;
+          }
+          batch_seq_ = frame_.seq;
+          batch_rows_ = out->num_rows();
+          batch_pending_ = true;
           if (options_.consume_delay_micros_per_frame > 0) {
             std::this_thread::sleep_for(std::chrono::microseconds(
                 options_.consume_delay_micros_per_frame));
@@ -479,9 +372,20 @@ class StreamRecordReader final : public ml::RecordReader {
         case FrameType::kError:
           return DecodeStatusPayload(frame_.payload);
         default:
-          return Status::NetworkError("unexpected data frame type");
+          return Status::DataLoss(
+              "unexpected frame type " +
+              std::to_string(static_cast<int>(frame_.type)) +
+              " on a data channel");
       }
     }
+  }
+
+  /// Advances the durable cursor past frame `seq` (`rows` rows) and queues
+  /// its cumulative ack.
+  void Commit(uint64_t seq, uint64_t rows) {
+    last_applied_seq_ = seq;
+    applied_rows_ += rows;
+    pending_ack_ = true;
   }
 
   /// Tells the coordinator the split is fully applied. Lease bookkeeping,
@@ -510,9 +414,9 @@ class StreamRecordReader final : public ml::RecordReader {
     stream_span_.reset();
   }
 
-  /// Drops the transport. A non-OK status shuts the channel down abortively
-  /// (mux mode: kCloseChannel tells the sink why, the shared socket is
-  /// untouched); releasing a healthy channel closes it cleanly.
+  /// Drops the channel. A non-OK status shuts it down abortively
+  /// (kCloseChannel tells the sink why; the shared socket is untouched);
+  /// releasing a healthy channel closes it cleanly.
   void CloseChannel(const Status& status) {
     if (channel_ == nullptr) return;
     if (!status.ok()) channel_->Shutdown(status);
@@ -550,29 +454,22 @@ class StreamRecordReader final : public ml::RecordReader {
   Counter* bytes_received_;
   Counter* rows_delivered_;
   Counter* reconnect_counter_;
-  Counter* data_dials_;
   Counter* frames_deduped_;
   std::optional<TraceSpan> stream_span_;
   std::unique_ptr<HeartbeatSender> heartbeat_;
 
-  FrameChannelPtr channel_;        // Transport: pooled mux channel or a
-                                   // dedicated socket (SQLINK_MUX=off).
+  MuxChannelPtr channel_;          // Pooled mux channel to the sink.
   bool connected_ = false;
   bool ever_connected_ = false;
   bool done_ = false;
   SchemaPtr schema_;               // Decoded from the kSchema frame.
   Frame frame_;                    // Receive scratch reused across frames.
   ColumnarChannelDecoder col_decoder_;
-  std::optional<ColumnBatch> col_batch_;  // Staged kColData frame (Connect
-                                          // creates it with the schema).
-  std::vector<Row> batch_;         // Staged kData frame.
-  bool staged_columnar_ = false;   // Which staging buffer holds the frame.
-  size_t staged_size_ = 0;         // Rows in the staged frame.
-  size_t batch_index_ = 0;         // Next staged row to deliver.
-  uint64_t batch_seq_ = 0;         // Frame the staged rows decoded from.
-  bool batch_pending_ = false;     // Staged but not fully delivered.
-  uint64_t skip_seq_ = 0;          // Frame whose replay skips a prefix of
-  uint64_t skip_rows_ = 0;         // skip_rows_ already-delivered rows.
+  uint64_t batch_seq_ = 0;         // Last delivered frame.
+  uint64_t batch_rows_ = 0;        // Rows in the last delivered frame.
+  bool batch_pending_ = false;     // Delivered but not yet committed.
+  uint64_t skip_seq_ = 0;          // Delivered-but-uncommitted frame whose
+                                   // replay is committed, not redelivered.
   bool pending_ack_ = false;       // last_applied_seq_ not yet acked.
   uint64_t last_applied_seq_ = 0;  // Highest frame fully handed to the job.
   uint64_t applied_rows_ = 0;      // Rows in frames [1, last_applied_seq_].
@@ -604,6 +501,11 @@ Result<std::vector<ml::InputSplitPtr>> SqlStreamInputFormat::GetSplits(
                      TcpConnect(coordinator_host_, coordinator_port_));
     RETURN_IF_ERROR(SendFrame(&control, FrameType::kGetSplits, ""));
     ASSIGN_OR_RETURN(Frame frame, RecvFrame(&control));
+    if (frame.type == FrameType::kError) {
+      // Typed refusal (e.g. the query was aborted): retried only if
+      // transient.
+      return DecodeStatusPayload(frame.payload);
+    }
     if (frame.type != FrameType::kSplits) {
       return Status::NetworkError("coordinator did not return splits: " +
                                   frame.payload);

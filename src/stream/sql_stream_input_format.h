@@ -14,7 +14,7 @@ namespace sqlink {
 /// Recovery knobs (§6 experiments/tests). Fault injection lives in the
 /// failpoint registry (common/failpoint.h): arm
 /// "stream.reader.row.split<ID>" to drop split ID's connection after a
-/// delivered row, "stream.reader.kill.split<ID>" to kill the reader
+/// delivered batch, "stream.reader.kill.split<ID>" to kill the reader
 /// mid-split (no local recovery — the split must be reassigned),
 /// "stream.reader.heartbeat.split<ID>" with a delay spec to stall lease
 /// renewal, or "stream.reader.frame" / "stream.reader.connect" for frame-

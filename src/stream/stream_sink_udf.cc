@@ -15,7 +15,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/trace.h"
 #include "net/conn_pool.h"
@@ -26,86 +25,33 @@
 #include "stream/spill_queue.h"
 #include "stream/wire.h"
 #include "table/column_batch.h"
-#include "table/row_codec.h"
 
 namespace sqlink {
 
 namespace {
 
-/// Accumulates rows and renders data-frame payloads. Both encodings lead
-/// with a varint row count, so FrameRowCount and the replay window treat
-/// them uniformly.
+/// Accumulates one target's rows in typed vectors and renders them as a
+/// kColData payload (column-contiguous, through the channel encoder) on
+/// flush.
 class FrameBatcher {
  public:
-  virtual ~FrameBatcher() = default;
-  virtual Status Add(const Row& row) = 0;
-  /// Appends the selected rows of a ColumnBatch. The default boxes each row
-  /// through Add; encodings that are columnar on the wire override it to
-  /// gather columns directly.
-  virtual Status AddRows(const ColumnBatch& batch, const int32_t* rows,
-                         size_t n) {
-    Row row;
-    for (size_t i = 0; i < n; ++i) {
-      batch.EmitRow(static_cast<size_t>(rows[i]), &row);
-      RETURN_IF_ERROR(Add(row));
-    }
-    return Status::OK();
-  }
-  virtual bool empty() const = 0;
-  /// Approximate payload bytes accumulated (flush threshold).
-  virtual size_t bytes() const = 0;
-  /// Renders and resets. The returned buffer comes from the frame pool.
-  virtual Result<std::string> Flush() = 0;
-};
-
-/// Row encoding (kData): varint row count + concatenated RowCodec rows.
-class RowFrameBatcher final : public FrameBatcher {
- public:
-  explicit RowFrameBatcher(FrameBufferPool* pool) : pool_(pool) {}
-
-  Status Add(const Row& row) override {
-    ++count_;
-    RowCodec::Encode(row, &body_);
-    return Status::OK();
-  }
-
-  bool empty() const override { return count_ == 0; }
-  size_t bytes() const override { return body_.size(); }
-
-  Result<std::string> Flush() override {
-    std::string payload = pool_->Acquire();
-    PutVarint64(&payload, count_);
-    payload += body_;
-    count_ = 0;
-    body_.clear();
-    return payload;
-  }
-
- private:
-  FrameBufferPool* pool_;
-  uint64_t count_ = 0;
-  std::string body_;
-};
-
-/// Columnar encoding (kColData): rows accumulate in typed vectors and are
-/// rendered column-contiguously by the channel encoder on flush.
-class ColumnarFrameBatcher final : public FrameBatcher {
- public:
-  ColumnarFrameBatcher(SchemaPtr schema, ColumnarChannelEncoder* encoder,
-                       FrameBufferPool* pool)
+  FrameBatcher(SchemaPtr schema, ColumnarChannelEncoder* encoder,
+               FrameBufferPool* pool)
       : batch_(std::move(schema)), encoder_(encoder), pool_(pool) {}
 
-  Status Add(const Row& row) override { return batch_.AppendRow(row); }
+  Status Add(const Row& row) { return batch_.AppendRow(row); }
 
-  Status AddRows(const ColumnBatch& batch, const int32_t* rows,
-                 size_t n) override {
+  /// Appends the selected rows of a ColumnBatch by gathering columns.
+  Status AddRows(const ColumnBatch& batch, const int32_t* rows, size_t n) {
     return batch_.AppendGather(batch, rows, n);
   }
 
-  bool empty() const override { return batch_.empty(); }
-  size_t bytes() const override { return batch_.ByteSize(); }
+  bool empty() const { return batch_.empty(); }
+  /// Approximate payload bytes accumulated (flush threshold).
+  size_t bytes() const { return batch_.ByteSize(); }
 
-  Result<std::string> Flush() override {
+  /// Renders and resets. The returned buffer comes from the frame pool.
+  Result<std::string> Flush() {
     std::string payload = pool_->Acquire();
     RETURN_IF_ERROR(encoder_->EncodeBatch(batch_, &payload));
     batch_.Clear();
@@ -118,8 +64,7 @@ class ColumnarFrameBatcher final : public FrameBatcher {
   FrameBufferPool* pool_;
 };
 
-/// Row count of a data frame payload (its leading varint — shared by the
-/// row and columnar encodings).
+/// Row count of a kColData payload (its leading varint).
 Result<uint64_t> FrameRowCount(const std::string& frame) {
   Decoder decoder(frame);
   return decoder.GetVarint64();
@@ -128,12 +73,10 @@ Result<uint64_t> FrameRowCount(const std::string& frame) {
 /// The reader-to-sink half of one data channel: cumulative kDataAck frames
 /// and the final kAck arrive interleaved with (and independent of) the
 /// outbound data stream, so the sender drains them non-blockingly between
-/// sends and blocks only when waiting for the finale. Transport-agnostic:
-/// the channel buffers out-of-band bytes (legacy socket) or inbox frames
-/// (mux) behind the same TryRecv/Recv interface.
+/// sends and blocks only when waiting for the finale.
 class AckChannel {
  public:
-  explicit AckChannel(FrameChannel* channel) : channel_(channel) {}
+  explicit AckChannel(MuxChannel* channel) : channel_(channel) {}
 
   /// Applies every cumulative ack currently readable without blocking.
   /// A kError frame surfaces as its decoded typed status. A clean peer
@@ -187,7 +130,7 @@ class AckChannel {
     }
   }
 
-  FrameChannel* channel_;
+  MuxChannel* channel_;
   Frame frame_;  ///< Scratch reused across drains.
 };
 
@@ -290,72 +233,81 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
 
   // --- Step 1: open the data port and register with the coordinator. ---
   //
-  // Mux mode: every partition in the process shares ONE listener (the
-  // MuxSinkServer) and readers multiplex channels over the pooled
-  // connections to it; the registration advertises the routing key.
-  // Legacy mode keeps the per-transfer ephemeral listener.
+  // Every partition in the process shares ONE listener (the MuxSinkServer)
+  // and readers multiplex channels over the pooled connections to it; the
+  // registration advertises this partition's routing key.
   struct Inbound {
-    FrameChannelPtr channel;
+    MuxChannelPtr channel;
     int64_t resume_seq = -1;  ///< From HELLO: -1 = "sink decides".
     int split_id = -1;        ///< From HELLO: the split this channel serves.
   };
   /// State shared with the MuxSinkServer handler, which can fire on a
   /// connection's demux thread even as this transfer tears down — so it
   /// owns the inboxes jointly and checks `closed` under the lock.
-  struct MuxRouterState {
+  struct RouterState {
     std::mutex mu;
     bool closed = false;
     int k = 0;  ///< 0 until registration tells us the fan-in.
     std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
-    /// Channels that opened before registration told us `k`. The legacy
-    /// listener's accept backlog parks early dialers for free; the mux
-    /// handler must do it explicitly, or a reader racing the registration
-    /// ack gets a hard reject it may not retry.
-    std::vector<std::pair<FrameChannelPtr, OpenChannelMessage>> pending;
+    /// Channels that opened before registration told us `k`. They are
+    /// parked here explicitly, or a reader racing the registration ack
+    /// gets a hard reject it may not retry.
+    std::vector<std::pair<MuxChannelPtr, OpenChannelMessage>> pending;
   };
 
-  const bool mux = MuxEnabled();
-  TcpListener listener;
-  std::shared_ptr<MuxRouterState> mux_state;
-  uint64_t sink_key = 0;
-  int data_port = 0;
-  if (mux) {
-    ASSIGN_OR_RETURN(data_port, MuxSinkServer::Global().EnsureStarted());
-    mux_state = std::make_shared<MuxRouterState>();
-    sink_key = MuxSinkServer::Global().Register(
-        [mux_state](FrameChannelPtr channel, const OpenChannelMessage& msg) {
-          // Demux-thread context: route without blocking.
-          std::shared_ptr<BlockingQueue<Inbound>> inbox;
-          {
-            std::lock_guard<std::mutex> lock(mux_state->mu);
-            if (!mux_state->closed && mux_state->k == 0) {
-              // Registration has not told us the fan-in yet: park the
-              // channel; setting `k` drains the backlog into the inboxes.
-              mux_state->pending.emplace_back(std::move(channel), msg);
-              return;
-            }
-            if (!mux_state->closed && mux_state->k > 0) {
-              const int slot = msg.hello.split_id % mux_state->k;
-              if (slot >= 0) {
-                inbox = mux_state->inboxes[static_cast<size_t>(slot)];
-              }
-            }
-          }
-          if (inbox == nullptr) {
-            channel->Shutdown(Status::Unavailable("sink not serving"));
+  ASSIGN_OR_RETURN(const int data_port,
+                   MuxSinkServer::Global().EnsureStarted());
+  auto router_state = std::make_shared<RouterState>();
+  const uint64_t sink_key = MuxSinkServer::Global().Register(
+      [router_state](MuxChannelPtr channel, const OpenChannelMessage& msg) {
+        // Demux-thread context: route without blocking.
+        std::shared_ptr<BlockingQueue<Inbound>> inbox;
+        {
+          std::lock_guard<std::mutex> lock(router_state->mu);
+          if (!router_state->closed && router_state->k == 0) {
+            // Registration has not told us the fan-in yet: park the
+            // channel; setting `k` drains the backlog into the inboxes.
+            router_state->pending.emplace_back(std::move(channel), msg);
             return;
           }
-          // A full or closed inbox drops the rejected Inbound, whose channel
-          // destructor closes the channel — the reader backs off and
-          // retries. The shared socket is untouched either way.
-          (void)inbox->TryPush(Inbound{std::move(channel),
-                                       msg.hello.resume_seq,
-                                       msg.hello.split_id});
-        });
-  } else {
-    ASSIGN_OR_RETURN(listener, TcpListener::Listen(0));
-    data_port = listener.port();
-  }
+          if (!router_state->closed && router_state->k > 0) {
+            const int slot = msg.hello.split_id % router_state->k;
+            if (slot >= 0) {
+              inbox = router_state->inboxes[static_cast<size_t>(slot)];
+            }
+          }
+        }
+        if (inbox == nullptr) {
+          channel->Shutdown(Status::Unavailable("sink not serving"));
+          return;
+        }
+        // A full or closed inbox drops the rejected Inbound, whose channel
+        // destructor closes the channel — the reader backs off and
+        // retries. The shared socket is untouched either way.
+        (void)inbox->TryPush(
+            Inbound{std::move(channel), msg.hello.resume_seq,
+                    msg.hello.split_id});
+      });
+  // Always unregister and unwind the inboxes on exit.
+  std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
+  struct RouterGuard {
+    std::shared_ptr<RouterState> state;
+    uint64_t sink_key;
+    std::vector<std::shared_ptr<BlockingQueue<Inbound>>>* inboxes;
+    ~RouterGuard() {
+      MuxSinkServer::Global().Unregister(sink_key);
+      {
+        std::lock_guard<std::mutex> lock(state->mu);
+        state->closed = true;
+        for (auto& [channel, msg] : state->pending) {
+          channel->Shutdown(Status::Unavailable("sink not serving"));
+        }
+        state->pending.clear();
+      }
+      for (auto& inbox : *inboxes) inbox->Close();
+    }
+  } router_guard{router_state, sink_key, &inboxes};
+
   const std::string my_host =
       context.cluster != nullptr ? context.cluster->HostName(context.worker_id)
                                  : "localhost";
@@ -387,6 +339,11 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
       RETURN_IF_ERROR(SendFrame(&control, FrameType::kRegisterSql,
                                 registration.Encode()));
       ASSIGN_OR_RETURN(Frame ack, RecvFrame(&control));
+      if (ack.type == FrameType::kError) {
+        // A typed refusal — e.g. the query was aborted or cancelled before
+        // this worker registered — ends the retries unless it is transient.
+        return DecodeStatusPayload(ack.payload);
+      }
       if (ack.type != FrameType::kAck) {
         return Status::NetworkError("coordinator rejected registration: " +
                                     ack.payload);
@@ -399,76 +356,27 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
     k = *splits_per_worker;
   }
 
-  // --- Step 7: route incoming data connections to their slot by HELLO
-  // split id (slot = split_id mod k within this worker's group).
-  // Reconnects and §6 replacement readers arrive the same way. Mux mode
-  // routes in the MuxSinkServer handler registered above; legacy mode runs
-  // a per-transfer accept/router thread. ---
-  std::vector<std::shared_ptr<BlockingQueue<Inbound>>> inboxes;
+  // --- Step 7: route incoming data channels to their slot by HELLO split
+  // id (slot = split_id mod k within this worker's group). Reconnects and
+  // §6 replacement readers arrive the same way, through the MuxSinkServer
+  // handler registered above. ---
   for (int j = 0; j < k; ++j) {
     inboxes.push_back(std::make_shared<BlockingQueue<Inbound>>(4));
   }
-  if (mux) {
-    std::lock_guard<std::mutex> lock(mux_state->mu);
-    mux_state->k = k;
-    mux_state->inboxes = inboxes;
+  {
+    std::lock_guard<std::mutex> lock(router_state->mu);
+    router_state->k = k;
+    router_state->inboxes = inboxes;
     // Drain channels that beat the registration ack here. A full inbox
     // drops the parked Inbound just as the live-route path would.
-    for (auto& [channel, msg] : mux_state->pending) {
+    for (auto& [channel, msg] : router_state->pending) {
       const int slot = msg.hello.split_id % k;
       (void)inboxes[static_cast<size_t>(slot)]->TryPush(
           Inbound{std::move(channel), msg.hello.resume_seq,
                   msg.hello.split_id});
     }
-    mux_state->pending.clear();
+    router_state->pending.clear();
   }
-  std::atomic<bool> router_stop{false};
-  std::thread router;
-  if (!mux) {
-    router = std::thread([&] {
-      while (!router_stop.load()) {
-        auto socket = listener.Accept();
-        if (!socket.ok()) return;  // Listener closed.
-        auto shared = std::make_shared<TcpSocket>(std::move(*socket));
-        auto hello_frame = RecvFrame(shared.get());
-        if (!hello_frame.ok() || hello_frame->type != FrameType::kHello) {
-          continue;
-        }
-        auto hello = HelloMessage::Decode(hello_frame->payload);
-        if (!hello.ok()) continue;
-        const int slot = hello->split_id % k;
-        if (slot < 0 || slot >= k) continue;
-        inboxes[static_cast<size_t>(slot)]->Push(
-            Inbound{std::make_shared<SocketFrameChannel>(std::move(shared)),
-                    hello->resume_seq, hello->split_id});
-      }
-    });
-  }
-  // Always unwind the router on exit.
-  struct RouterGuard {
-    TcpListener* listener;
-    std::atomic<bool>* stop;
-    std::thread* router;
-    std::vector<std::shared_ptr<BlockingQueue<Inbound>>>* inboxes;
-    std::shared_ptr<MuxRouterState> mux_state;
-    uint64_t sink_key;
-    ~RouterGuard() {
-      if (mux_state != nullptr) {
-        MuxSinkServer::Global().Unregister(sink_key);
-        std::lock_guard<std::mutex> lock(mux_state->mu);
-        mux_state->closed = true;
-        for (auto& [channel, msg] : mux_state->pending) {
-          channel->Shutdown(Status::Unavailable("sink not serving"));
-        }
-        mux_state->pending.clear();
-      }
-      stop->store(true);
-      listener->Close();
-      if (router->joinable()) router->join();
-      for (auto& inbox : *inboxes) inbox->Close();
-    }
-  } router_guard{&listener, &router_stop, &router,
-                 &inboxes,  mux_state,    sink_key};
 
   // Waits for a data connection on `inbox`, pacing the poll with a backoff
   // policy so the total wait across reconnect attempts is deadline-capped
@@ -508,21 +416,13 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   int64_t bytes_sent = 0;
   int64_t spilled_frames = 0;
 
-  // Columnar mode is fixed for the transfer's lifetime: every data frame on
-  // a channel uses one encoding, so live and replayed frames always agree.
-  const bool columnar = ColumnarEnabled();
-  const FrameType data_frame_type =
-      columnar ? FrameType::kColData : FrameType::kData;
   FrameBufferPool* const frame_pool = FrameBufferPool::Global();
   // One dictionary set per target channel, shared by the producer-side
   // batcher (which appends entries while encoding deltas) and the sender
   // (which snapshots it into a kDictPage on every (re)connect).
   std::vector<std::unique_ptr<ColumnarChannelEncoder>> encoders;
-  if (columnar) {
-    for (int j = 0; j < k; ++j) {
-      encoders.push_back(
-          std::make_unique<ColumnarChannelEncoder>(input_schema_));
-    }
+  for (int j = 0; j < k; ++j) {
+    encoders.push_back(std::make_unique<ColumnarChannelEncoder>(input_schema_));
   }
 
   // --- Step 8: round-robin rows into per-target send buffers while sender
@@ -552,8 +452,8 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   // channel rides on (other queries keep flowing).
   struct ActiveChannels {
     std::mutex mu;
-    std::vector<FrameChannelPtr> by_target;
-    void Set(size_t j, FrameChannelPtr channel) {
+    std::vector<MuxChannelPtr> by_target;
+    void Set(size_t j, MuxChannelPtr channel) {
       std::lock_guard<std::mutex> lock(mu);
       by_target[j] = std::move(channel);
     }
@@ -656,7 +556,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
       // replay the unacked suffix, then stream live frames until the input
       // is exhausted and the reader's final ack lands.
       auto serve = [&](const Inbound& conn) -> Status {
-        FrameChannel* channel = conn.channel.get();
+        MuxChannel* channel = conn.channel.get();
         if (conn.split_id >= 0) served_split = conn.split_id;
         AckChannel acks(channel);
         channels_served.fetch_add(1, std::memory_order_relaxed);
@@ -687,21 +587,19 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
         EncodeSchema(*input_schema_, &schema_payload);
         RETURN_IF_ERROR(channel->Send(FrameType::kSchema, schema_payload, 0));
 
-        if (columnar) {
-          // Full dictionary snapshot on every (re)connect: replayed delta
-          // frames then only re-append entries the reader already has,
-          // which the decoder skips, so replay stays idempotent.
-          RETURN_IF_ERROR(
-              channel->Send(FrameType::kDictPage,
-                            encoders[static_cast<size_t>(j)]->SnapshotDicts(),
-                            0));
-        }
+        // Full dictionary snapshot on every (re)connect: replayed delta
+        // frames then only re-append entries the reader already has, which
+        // the decoder skips, so replay stays idempotent.
+        RETURN_IF_ERROR(
+            channel->Send(FrameType::kDictPage,
+                          encoders[static_cast<size_t>(j)]->SnapshotDicts(),
+                          0));
 
         RETURN_IF_ERROR(window.Replay(
             resume, [&](uint64_t seq, uint64_t rows, const std::string& frame)
                         -> Status {
               (void)rows;
-              RETURN_IF_ERROR(channel->Send(data_frame_type, frame, seq));
+              RETURN_IF_ERROR(channel->Send(FrameType::kColData, frame, seq));
               replayed_counter->Increment();
               return Status::OK();
             }));
@@ -722,7 +620,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
           std::string retained = frame_pool->Acquire();
           retained.assign(*frame);
           RETURN_IF_ERROR(window.Append(seq, rows, std::move(retained)));
-          RETURN_IF_ERROR(channel->Send(data_frame_type, *frame, seq));
+          RETURN_IF_ERROR(channel->Send(FrameType::kColData, *frame, seq));
           frame_pool->Release(std::move(*frame));
         }
 
@@ -784,20 +682,17 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
     });
   }
 
-  std::vector<std::unique_ptr<FrameBatcher>> batchers;
+  std::vector<FrameBatcher> batchers;
+  batchers.reserve(static_cast<size_t>(k));
   for (int j = 0; j < k; ++j) {
-    if (columnar) {
-      batchers.push_back(std::make_unique<ColumnarFrameBatcher>(
-          input_schema_, encoders[static_cast<size_t>(j)].get(), frame_pool));
-    } else {
-      batchers.push_back(std::make_unique<RowFrameBatcher>(frame_pool));
-    }
+    batchers.emplace_back(input_schema_, encoders[static_cast<size_t>(j)].get(),
+                          frame_pool);
   }
   Status produce_status;
   size_t next_target = 0;
   // Flushes target j's accumulated frame when it crossed the buffer size.
   auto maybe_flush = [&](size_t j) -> Status {
-    FrameBatcher& batch = *batchers[j];
+    FrameBatcher& batch = batchers[j];
     if (batch.bytes() < options_.send_buffer_bytes) return Status::OK();
     ASSIGN_OR_RETURN(std::string frame, batch.Flush());
     bytes_sent += static_cast<int64_t>(frame.size());
@@ -805,8 +700,8 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   };
   if (batches != nullptr) {
     // Batch path: per-row round-robin routing identical to the row path,
-    // but each target receives its slice of the batch as one gather — in
-    // columnar wire mode no row is ever boxed.
+    // but each target receives its slice of the batch as one gather — no
+    // row is ever boxed.
     ColumnBatch batch;
     std::vector<std::vector<int32_t>> target_sel(static_cast<size_t>(k));
     // Feeds one target's slice in threshold-sized chunks so frame sizes
@@ -821,7 +716,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
               : 1.0;
       size_t off = 0;
       while (off < sel.size()) {
-        FrameBatcher& batcher = *batchers[j];
+        FrameBatcher& batcher = batchers[j];
         const size_t room = options_.send_buffer_bytes > batcher.bytes()
                                 ? options_.send_buffer_bytes - batcher.bytes()
                                 : 0;
@@ -862,7 +757,7 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
         break;
       }
       if (!*has) break;
-      produce_status = batchers[next_target]->Add(row);
+      produce_status = batchers[next_target].Add(row);
       if (!produce_status.ok()) break;
       ++rows_sent;
       produce_status = maybe_flush(next_target);
@@ -872,8 +767,8 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
   }
   if (produce_status.ok()) {
     for (size_t j = 0; j < batchers.size(); ++j) {
-      if (batchers[j]->empty()) continue;
-      Result<std::string> frame = batchers[j]->Flush();
+      if (batchers[j].empty()) continue;
+      Result<std::string> frame = batchers[j].Flush();
       if (!frame.ok()) {
         produce_status = frame.status();
         break;

@@ -60,9 +60,9 @@ class SqlStreamSinkUdf final : public TableUdf {
                          const std::vector<Value>& args) override;
   Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
                           RowSink* output) override;
-  /// Vectorized-engine entry: consumes ColumnBatches directly — in columnar
-  /// wire mode rows are gathered column-wise into frame batches without
-  /// ever being boxed. Row routing is identical to ProcessPartition.
+  /// Vectorized-engine entry: consumes ColumnBatches directly — rows are
+  /// gathered column-wise into frame batches without ever being boxed. Row
+  /// routing is identical to ProcessPartition.
   Status ProcessPartitionBatches(const TableUdfContext& context,
                                  BatchIterator* input,
                                  BatchSink* output) override;

@@ -28,18 +28,9 @@ struct StreamTransferOptions {
   QueryOptions query;
 };
 
-/// Outcome of one end-to-end streaming transfer.
-struct StreamTransferResult {
-  ml::RowDataset dataset;
-  ml::IngestStats stats;
-  int64_t rows_sent = 0;
-  int64_t bytes_sent = 0;
-  int64_t spilled_frames = 0;
-};
-
-/// Outcome of a columnar end-to-end transfer: partitions land as
+/// Outcome of one end-to-end streaming transfer: partitions land as
 /// ColumnBatches, ready for Dataset::FromColumns.
-struct ColumnTransferResult {
+struct StreamTransferResult {
   ml::ColumnDataset dataset;
   ml::IngestStats stats;
   int64_t rows_sent = 0;
@@ -64,17 +55,11 @@ class StreamingTransfer {
                                   const StreamSinkOptions& sink);
 
   /// Executes `query_sql` on `engine` and streams its result into a
-  /// RowDataset.
+  /// ColumnDataset: decoded kColData frames append straight into
+  /// per-partition ColumnBatches with no intermediate Row materialization.
   static Result<StreamTransferResult> Run(SqlEngine* engine,
                                           const std::string& query_sql,
                                           const StreamTransferOptions& options = {});
-
-  /// Same flow, but the ML job ingests columnar: with SQLINK_COLUMNAR on,
-  /// decoded kColData frames append straight into per-partition
-  /// ColumnBatches with no intermediate Row materialization.
-  static Result<ColumnTransferResult> RunToColumns(
-      SqlEngine* engine, const std::string& query_sql,
-      const StreamTransferOptions& options = {});
 };
 
 }  // namespace sqlink

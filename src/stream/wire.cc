@@ -76,8 +76,7 @@ Status SendFrameImpl(TcpSocket* socket, FrameType type,
                     /*channel=*/0, trace);
   const std::string_view header_view(header, kFrameHeaderBytes);
   FailpointOutcome outcome = SQLINK_FAILPOINT("stream.wire.send_frame");
-  if (outcome == FailpointOutcome::kNone &&
-      (type == FrameType::kData || type == FrameType::kColData)) {
+  if (outcome == FailpointOutcome::kNone && type == FrameType::kColData) {
     outcome = SQLINK_FAILPOINT("stream.wire.send_data");
   }
   switch (outcome) {
@@ -182,13 +181,6 @@ Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
   frame->payload.assign(rest.data() + kFrameHeaderBytes, length);
   *cursor += kFrameHeaderBytes + length;
   return true;
-}
-
-Result<bool> ExtractFrame(std::string* buffer, Frame* frame) {
-  size_t cursor = 0;
-  ASSIGN_OR_RETURN(bool extracted, ExtractFrame(*buffer, &cursor, frame));
-  if (extracted) buffer->erase(0, cursor);
-  return extracted;
 }
 
 std::string FrameBufferPool::Acquire() {

@@ -21,11 +21,12 @@ namespace sqlink {
 /// SQL-worker → ML-worker sockets.
 enum class FrameType : uint8_t {
   // Data plane.
-  kSchema = 1,  ///< First frame on a data socket: the row schema.
-  kData = 2,    ///< A batch of encoded rows.
+  kSchema = 1,  ///< First frame on a data channel: the row schema.
   kEnd = 3,     ///< Sender finished; payload = total row count (varint).
   kError = 4,   ///< Sender failed; payload = message.
-  kHello = 5,   ///< Receiver's opening frame: split id + restart flag.
+  // 2 (row-encoded data batches) and 5 (a standalone HELLO; it now rides
+  // inside kOpenChannel) are retired and stay reserved so the other types
+  // keep their values.
 
   // Control plane (coordinator).
   kRegisterSql = 10,
@@ -46,10 +47,10 @@ enum class FrameType : uint8_t {
   kResume = 23,         ///< Sink → reader: replay start point after HELLO.
   kAbortQuery = 24,     ///< Broadcast abort; payload = encoded Status.
 
-  // Columnar data plane (SQLINK_COLUMNAR=on). kColData replaces kData with
-  // column-contiguous buffers + per-channel dictionary deltas; kDictPage
-  // re-seeds the channel dictionaries after (re)connect so replayed deltas
-  // tile onto a consistent base.
+  // Columnar data plane: kColData carries column-contiguous buffers +
+  // per-channel dictionary deltas; kDictPage re-seeds the channel
+  // dictionaries after (re)connect so replayed deltas tile onto a
+  // consistent base.
   kColData = 25,   ///< Columnar batch; leading varint is the row count.
   kDictPage = 26,  ///< Per-channel string-dictionary snapshot.
 
@@ -60,9 +61,9 @@ enum class FrameType : uint8_t {
   kQueryResult = 28,  ///< Server → client; payload = schema + rows.
   kCancelQuery = 29,  ///< Client → server: cancel the in-flight query.
 
-  // Mux plane (SQLINK_MUX=on, src/net): many logical transfer channels share
-  // one sink→reader socket. On a mux socket these are the ONLY frame types;
-  // data-plane frames (kResume/kSchema/kDictPage/kData/kColData/kEnd/kError/
+  // Mux plane (src/net): many logical transfer channels share one
+  // sink→reader socket. On a mux socket these are the ONLY frame types;
+  // data-plane frames (kResume/kSchema/kDictPage/kColData/kEnd/kError/
   // kDataAck/kAck) travel wrapped inside kChannelData with a one-byte inner
   // type prefix, so the per-channel seq/ack + dictionary machinery is
   // untouched by multiplexing.
@@ -83,7 +84,7 @@ enum class FrameType : uint8_t {
 struct Frame {
   FrameType type = FrameType::kAck;
   std::string payload;
-  /// Per-channel monotonic sequence number (kData/kEnd frames and kDataAck
+  /// Per-channel monotonic sequence number (kColData/kEnd frames and kDataAck
   /// cumulative acks); zero on frames that don't take part in replay.
   uint64_t seq = 0;
   /// Logical mux channel id; zero on un-multiplexed sockets and on
@@ -125,17 +126,11 @@ void EncodeFrameHeader(char* out, FrameType type, uint32_t payload_len,
                        uint64_t seq, uint32_t channel,
                        const TraceContext& trace);
 
-/// Extracts one complete frame from the front of `*buffer` (bytes gathered
-/// out-of-band, e.g. with TcpSocket::TryRecv). Returns true and erases the
-/// consumed prefix when a full frame was buffered; false when more bytes are
-/// needed. Used by data senders draining cumulative acks between frames
-/// without blocking the send path.
-Result<bool> ExtractFrame(std::string* buffer, Frame* frame);
-
-/// Cursor variant: parses one frame starting at `*cursor` within `buffer`
-/// and advances the cursor past it, without erasing the consumed prefix —
-/// callers drain every buffered frame, then compact once. The payload is
-/// assigned into `frame->payload` reusing its capacity.
+/// Parses one complete frame starting at `*cursor` within `buffer` (bytes
+/// gathered out-of-band, e.g. with TcpSocket::TryRecv) and advances the
+/// cursor past it; false when more bytes are needed. The consumed prefix is
+/// not erased — callers drain every buffered frame, then compact once. The
+/// payload is assigned into `frame->payload` reusing its capacity.
 Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
                           Frame* frame);
 
@@ -239,9 +234,8 @@ struct RegisterSqlMessage {
   std::string command;
   std::vector<std::string> args;
   SchemaPtr schema;
-  /// Mux mode: routing key of this partition's inbox on the process-wide
-  /// MuxSinkServer (host/port then name the shared listener). Zero = legacy
-  /// direct dial, one ephemeral listener per transfer.
+  /// Routing key of this partition's inbox on the process-wide
+  /// MuxSinkServer (host/port then name the shared listener); never zero.
   uint64_t sink_key = 0;
 
   std::string Encode() const;
@@ -258,8 +252,7 @@ struct StreamSplitInfo {
   /// coordinator on every reassignment so a revoked ("zombie") reader is
   /// fenced off by its stale epoch.
   int64_t epoch = 1;
-  /// Sink routing key for mux channels (see RegisterSqlMessage::sink_key);
-  /// zero = dial the sink directly and speak the one-socket protocol.
+  /// Sink routing key for mux channels (see RegisterSqlMessage::sink_key).
   uint64_t sink_key = 0;
 };
 
@@ -286,7 +279,7 @@ struct MatchMessage {
   int port = 0;
   /// Mux routing key of the matched sink partition's worker (see
   /// RegisterSqlMessage::sink_key); a restarted worker re-registers under a
-  /// fresh key, so re-matches must carry the current one. Zero = legacy.
+  /// fresh key, so re-matches must carry the current one.
   uint64_t sink_key = 0;
 
   std::string Encode() const;

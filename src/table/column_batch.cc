@@ -315,39 +315,6 @@ void ColumnBatch::EmitRow(size_t row, Row* out) const {
   }
 }
 
-ColumnBatch ColumnBatch::Slice(size_t begin) const {
-  ColumnBatch out(schema_);
-  if (begin >= num_rows_) return out;
-  const size_t rows = num_rows_ - begin;
-  out.Reserve(rows);
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    Column& dst = out.columns_[i];
-    const Column& src = columns_[i];
-    AppendNullWords(&dst.null_words, 0, src.null_words, begin, rows);
-    switch (src.type) {
-      case DataType::kBool:
-        dst.bools.assign(src.bools.begin() + static_cast<long>(begin),
-                         src.bools.end());
-        break;
-      case DataType::kInt64:
-        dst.ints.assign(src.ints.begin() + static_cast<long>(begin),
-                        src.ints.end());
-        break;
-      case DataType::kDouble:
-        dst.doubles.assign(src.doubles.begin() + static_cast<long>(begin),
-                           src.doubles.end());
-        break;
-      case DataType::kString:
-        dst.dict = src.dict;
-        dst.codes.assign(src.codes.begin() + static_cast<long>(begin),
-                         src.codes.end());
-        break;
-    }
-  }
-  out.num_rows_ = rows;
-  return out;
-}
-
 size_t ColumnBatch::ByteSize() const {
   size_t total = 0;
   for (const Column& col : columns_) {

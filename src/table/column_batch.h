@@ -122,10 +122,6 @@ class ColumnBatch {
   /// Materializes row `row` into `*out` (cleared first).
   void EmitRow(size_t row, Row* out) const;
 
-  /// Rows [begin, num_rows()) as a new batch (same schema; dictionaries
-  /// copied). `begin` past the end yields an empty batch.
-  ColumnBatch Slice(size_t begin) const;
-
   /// Rough in-memory footprint of the value buffers — the batcher's flush
   /// threshold proxy.
   size_t ByteSize() const;

@@ -139,7 +139,7 @@ TEST_F(ChaosServingTest, ConcurrentPipelinesSurviveReaderKillAndCancel) {
         return;
       }
       for (const auto& partition : result->dataset.partitions) {
-        for (const Row& row : partition) {
+        for (const Row& row : partition.ToRows()) {
           ids[static_cast<size_t>(p)].insert(row[0].int64_value());
         }
       }

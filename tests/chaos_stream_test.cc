@@ -19,7 +19,6 @@
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "common/stopwatch.h"
 #include "net/conn_pool.h"
 #include "sql/engine.h"
@@ -68,39 +67,12 @@ class ChaosStreamTest : public ::testing::Test {
     EXPECT_EQ(result->dataset.TotalRows(), 1000u);
     std::set<int64_t> ids;
     for (const auto& partition : result->dataset.partitions) {
-      for (const Row& row : partition) {
+      for (const Row& row : partition.ToRows()) {
         EXPECT_TRUE(ids.insert(row[0].int64_value()).second)
             << "duplicate row " << row[0].int64_value();
       }
     }
     EXPECT_EQ(ids.size(), 1000u);
-  }
-
-  /// Kills one shared mux connection mid-transfer. With one pooled socket
-  /// per peer and two splits per worker, the transfer's eight concurrent
-  /// channels ride shared connections; the kill fails every channel on its
-  /// socket at once, and each affected reader must recover via §6 replay —
-  /// exactly once, no spill leaks, in the requested wire mode.
-  void ExpectMuxConnKillRecovery(int columnar) {
-    if (!MuxEnabled()) {
-      GTEST_SKIP() << "SQLINK_MUX=off: no shared connection to kill";
-    }
-    SetColumnarEnabledForTest(columnar);
-    SetMuxConnsPerPeerForTest(1);  // Force channels to share sockets.
-    MuxConnPool::Global().ResetForTest();
-    StreamTransferOptions options;
-    options.splits_per_worker = 2;  // 8 channels over 4 shared connections.
-    options.sink.resilient = true;  // Retained log enables the §6 replay.
-    options.sink.send_buffer_bytes = 256;
-    options.reader.recovery_enabled = true;
-    ScopedFailpoint fault("net.mux.recv", "after(40):close(1)");
-    ASSERT_TRUE(fault.status().ok()) << fault.status();
-    ExpectCompleteTransfer(options);
-    EXPECT_EQ(fault.fires(), 1);
-    EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
-    SetMuxConnsPerPeerForTest(0);
-    SetColumnarEnabledForTest(-1);
-    MuxConnPool::Global().ResetForTest();
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -196,11 +168,11 @@ TEST_F(ChaosStreamTest, KilledReaderSplitIsReassigned) {
   options.sink.heartbeat_ms = 20;
   options.reader.heartbeat_ms = 20;  // Enables split reassignment.
   options.reader.recovery_enabled = true;
-  // One of the four readers dies outright after 100 delivered rows — no
+  // One of the four readers dies outright after six delivered batches — no
   // local reconnect. Its released lease must hand the split to a
   // replacement reader, which resumes from the sink's replay window with
   // the partially-applied partition truncated back to the last ack.
-  ScopedFailpoint fault("stream.reader.kill.split1", "after(99):error(1)");
+  ScopedFailpoint fault("stream.reader.kill.split1", "after(5):error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   ExpectCompleteTransfer(options);
   EXPECT_EQ(fault.fires(), 1);
@@ -245,12 +217,12 @@ TEST_F(ChaosStreamTest, ExhaustedReassignmentAbortsWithTypedStatus) {
   options.reader.heartbeat_ms = 20;
   options.reader.recovery_enabled = true;
   options.max_split_reassignments = 1;
-  // Split 1's reader dies after 10 rows — and so does its replacement. The
-  // second release exhausts the budget: the coordinator broadcasts an
+  // Split 1's reader dies after two batches — and so does its replacement.
+  // The second release exhausts the budget: the coordinator broadcasts an
   // abort, every participant unwinds promptly (no waiting out the full
   // reconnect window), the error is a typed Aborted, and no spill file
   // survives anywhere under the scratch tree.
-  ScopedFailpoint fault("stream.reader.kill.split1", "after(9):error(2)");
+  ScopedFailpoint fault("stream.reader.kill.split1", "after(1):error(2)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   Stopwatch timer;
   auto result =
@@ -262,12 +234,26 @@ TEST_F(ChaosStreamTest, ExhaustedReassignmentAbortsWithTypedStatus) {
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }
 
-TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecoversRowMode) {
-  ExpectMuxConnKillRecovery(/*columnar=*/0);
-}
-
-TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecoversColumnarMode) {
-  ExpectMuxConnKillRecovery(/*columnar=*/1);
+TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecovers) {
+  // Kills one shared mux connection mid-transfer. With one pooled socket
+  // per peer and two splits per worker, the transfer's eight concurrent
+  // channels ride shared connections; the kill fails every channel on its
+  // socket at once, and each affected reader must recover via §6 replay —
+  // exactly once, with no spill leaks.
+  SetMuxConnsPerPeerForTest(1);  // Force channels to share sockets.
+  MuxConnPool::Global().ResetForTest();
+  StreamTransferOptions options;
+  options.splits_per_worker = 2;  // 8 channels over 4 shared connections.
+  options.sink.resilient = true;  // Retained log enables the §6 replay.
+  options.sink.send_buffer_bytes = 256;
+  options.reader.recovery_enabled = true;
+  ScopedFailpoint fault("net.mux.recv", "after(40):close(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+  ExpectCompleteTransfer(options);
+  EXPECT_EQ(fault.fires(), 1);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
+  SetMuxConnsPerPeerForTest(0);
+  MuxConnPool::Global().ResetForTest();
 }
 
 TEST_F(ChaosStreamTest, SlowConsumerDelayCompletes) {

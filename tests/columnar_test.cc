@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -12,7 +13,6 @@
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "ml/dataset.h"
 #include "sql/engine.h"
 #include "stream/streaming_transfer.h"
@@ -153,17 +153,6 @@ TEST(ColumnBatchTest, TruncateClearsTrailingNullBits) {
   }
 }
 
-TEST(ColumnBatchTest, SliceCopiesTail) {
-  auto batch = ColumnBatch::FromRows(EdgeSchema(), EdgeRows());
-  ASSERT_TRUE(batch.ok());
-  ColumnBatch tail = batch->Slice(4);
-  EXPECT_EQ(tail.num_rows(), 2u);
-  const std::vector<Row> all = EdgeRows();
-  const std::vector<Row> expected(all.begin() + 4, all.end());
-  EXPECT_TRUE(SameRows(tail.ToRows(), expected));
-  EXPECT_TRUE(batch->Slice(99).empty());
-}
-
 /// A one-column INT64 batch of `rows` rows; row r is NULL when
 /// (r * 7 + seed) % 3 == 0 — mixed NULLs at every word position.
 ColumnBatch MixedNullBatch(size_t rows, size_t seed) {
@@ -205,14 +194,13 @@ TEST(ColumnBatchTest, WordWiseNullAppendMatchesPerRowReference) {
       EXPECT_EQ(dst.column(0).null_words, expected);
       EXPECT_EQ(dst.num_rows(), dst_rows + src_rows);
 
-      // Slice reads the source bitmap at a bit offset.
-      const size_t begin = dst_rows;  // Reuse the offsets as slice starts.
-      const ColumnBatch empty = MixedNullBatch(0, 0);
-      const ColumnBatch tail = src.Slice(begin);
+      // Reading the source bitmap at a bit offset.
+      const size_t begin = dst_rows;  // Reuse the offsets as read starts.
       if (begin < src_rows) {
-        EXPECT_EQ(tail.column(0).null_words, ReferenceBits(empty, src, begin));
-      } else {
-        EXPECT_TRUE(tail.empty());
+        std::vector<uint64_t> tail;
+        AppendNullWords(&tail, 0, src.column(0).null_words, begin,
+                        src_rows - begin);
+        EXPECT_EQ(tail, ReferenceBits(MixedNullBatch(0, 0), src, begin));
       }
     }
   }
@@ -319,8 +307,9 @@ TEST(ColumnarWireTest, DecodeErrorPaths) {
 }
 
 TEST(ColumnarWireTest, RowAndColumnarEncodingsDecodeIdentically) {
-  // Property: any row batch decodes to the same values whether it crossed
-  // the wire as a kData payload (RowCodec) or a kColData payload.
+  // Property: any row batch decodes to the same values whether it was
+  // encoded as RowCodec rows (the broker and query-server encoding) or as a
+  // kColData payload.
   auto schema = Schema::Make({{"flag", DataType::kBool},
                               {"count", DataType::kInt64},
                               {"ratio", DataType::kDouble},
@@ -464,14 +453,12 @@ TEST(KernelTest, CodingKernelProducesContrastColumns) {
 
 // --- Columnar feature extraction --------------------------------------------
 
-TEST(DatasetTest, FromColumnsMatchesFromRows) {
+TEST(DatasetTest, FromColumnsMatchesCellOracle) {
   auto schema = Schema::Make({{"label", DataType::kInt64},
                               {"f1", DataType::kDouble},
                               {"f2", DataType::kBool},
                               {"f3", DataType::kInt64}});
   Random rng(9);
-  ml::RowDataset rows;
-  rows.schema = schema;
   ml::ColumnDataset columns;
   columns.schema = schema;
   for (int p = 0; p < 3; ++p) {
@@ -488,15 +475,30 @@ TEST(DatasetTest, FromColumnsMatchesFromRows) {
     auto batch = ColumnBatch::FromRows(schema, partition);
     ASSERT_TRUE(batch.ok());
     columns.partitions.push_back(std::move(*batch));
-    rows.partitions.push_back(std::move(partition));
   }
 
-  auto from_rows = ml::Dataset::FromRowsAutoFeatures(rows, "label");
+  // Oracle: labeled points built cell by cell from the boxed values, with
+  // NULL as 0 and the label column left out of the features.
+  auto numeric = [](const Value& v) {
+    return v.is_null() ? 0.0 : *v.AsDouble();
+  };
+  std::vector<std::vector<ml::LabeledPoint>> expected;
+  for (const ColumnBatch& batch : columns.partitions) {
+    std::vector<ml::LabeledPoint>& points = expected.emplace_back();
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      ml::LabeledPoint point;
+      point.label = numeric(batch.ValueAt(r, 0));
+      for (size_t c = 1; c < batch.num_columns(); ++c) {
+        point.features.push_back(numeric(batch.ValueAt(r, c)));
+      }
+      points.push_back(std::move(point));
+    }
+  }
+
   auto from_columns = ml::Dataset::FromColumnsAutoFeatures(columns, "label");
-  ASSERT_TRUE(from_rows.ok()) << from_rows.status();
   ASSERT_TRUE(from_columns.ok()) << from_columns.status();
-  EXPECT_EQ(from_rows->dimension(), from_columns->dimension());
-  EXPECT_EQ(from_rows->partitions(), from_columns->partitions());
+  EXPECT_EQ(from_columns->dimension(), 3u);
+  EXPECT_EQ(from_columns->partitions(), expected);
 }
 
 TEST(DatasetTest, FromColumnsRejectsCategoricalFeatures) {
@@ -512,7 +514,7 @@ TEST(DatasetTest, FromColumnsRejectsCategoricalFeatures) {
   EXPECT_TRUE(dataset.status().IsInvalidArgument());
 }
 
-// --- End-to-end transfer under both modes -----------------------------------
+// --- End-to-end columnar transfer -------------------------------------------
 
 class ColumnarTransferTest : public ::testing::Test {
  protected:
@@ -536,8 +538,6 @@ class ColumnarTransferTest : public ::testing::Test {
     ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
   }
 
-  void TearDown() override { SetColumnarEnabledForTest(-1); }
-
   void ExpectAllIds(const ml::ColumnDataset& dataset) {
     std::set<int64_t> ids;
     for (const ColumnBatch& partition : dataset.partitions) {
@@ -553,12 +553,10 @@ class ColumnarTransferTest : public ::testing::Test {
 };
 
 TEST_F(ColumnarTransferTest, ColumnarTransferDeliversEveryRowOnce) {
-  SetColumnarEnabledForTest(1);
   Counter* pooled =
       MetricsRegistry::Global().GetCounter("stream.wire.frames_pooled");
   const int64_t pooled_before = pooled->value();
-  auto result =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
+  auto result = StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
   EXPECT_EQ(result->rows_sent, 1000);
@@ -570,52 +568,78 @@ TEST_F(ColumnarTransferTest, ColumnarTransferDeliversEveryRowOnce) {
   EXPECT_GT(pooled->value(), pooled_before);
 }
 
-TEST_F(ColumnarTransferTest, RowModeTransferStillDeliversColumns) {
-  // SQLINK_COLUMNAR=off: the wire carries kData row frames and the reader
-  // falls back to per-row appends, but the columnar dataset shape holds.
-  SetColumnarEnabledForTest(0);
-  auto result =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-  ExpectAllIds(result->dataset);
-}
-
-TEST_F(ColumnarTransferTest, RowIngestOverColumnarWireMatches) {
-  // The classic row-Dataset entry point must keep working when the wire is
-  // columnar: frames decode into batches, rows are emitted on demand.
-  SetColumnarEnabledForTest(1);
-  auto result =
-      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->dataset.TotalRows(), 1000u);
-  std::set<int64_t> ids;
-  for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
-      EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
+TEST_F(ColumnarTransferTest, TransferCarriesEdgeValuesExactly) {
+  // NULLs in every column, NaN, infinities, -0.0, extreme INT64s, empty,
+  // repeated and long strings: each must cross the kColData wire (null
+  // bitmaps, dictionary deltas) bit for bit.
+  const SchemaPtr edge_schema = EdgeSchema();
+  std::vector<Field> fields = {{"id", DataType::kInt64}};
+  for (const Field& field : edge_schema->fields()) fields.push_back(field);
+  auto schema = Schema::Make(fields);
+  auto table = engine_->MakeTable("edges", schema);
+  std::vector<Row> expected;
+  for (int64_t copy = 0; copy < 8; ++copy) {
+    for (const Row& edge : EdgeRows()) {
+      Row row{Value::Int64(static_cast<int64_t>(expected.size()))};
+      row.insert(row.end(), edge.begin(), edge.end());
+      table->AppendRow(expected.size() % 4, row);
+      expected.push_back(std::move(row));
     }
   }
-  EXPECT_EQ(ids.size(), 1000u);
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(table).ok());
+
+  auto result = StreamingTransfer::Run(engine_.get(), "SELECT * FROM edges");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->dataset.schema->ToString(), schema->ToString());
+  std::vector<Row> received(expected.size());
+  size_t count = 0;
+  for (const ColumnBatch& partition : result->dataset.partitions) {
+    for (Row& row : partition.ToRows()) {
+      const int64_t id = row[0].int64_value();
+      ASSERT_GE(id, 0);
+      ASSERT_LT(static_cast<size_t>(id), expected.size());
+      received[static_cast<size_t>(id)] = std::move(row);
+      ++count;
+    }
+  }
+  EXPECT_EQ(count, expected.size());
+  EXPECT_TRUE(SameRows(received, expected));
 }
 
-TEST_F(ColumnarTransferTest, BothModesFeedIdenticalTrainingData) {
-  SetColumnarEnabledForTest(1);
-  auto columnar =
-      StreamingTransfer::RunToColumns(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(columnar.ok()) << columnar.status();
-  SetColumnarEnabledForTest(0);
-  auto row = StreamingTransfer::Run(engine_.get(), "SELECT * FROM points");
-  ASSERT_TRUE(row.ok()) << row.status();
+TEST_F(ColumnarTransferTest, TransferFeedsSameTrainingDataAsDirectQuery) {
+  // Oracle: the same query executed in place, its result partitions boxed
+  // into batches without crossing the wire. Both sides must yield the same
+  // labeled points; compare as sorted multisets since the transfer's
+  // partitioning is by split, not by table partition.
+  auto direct = engine_->ExecuteSql("SELECT * FROM points WHERE id >= 100");
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  ml::ColumnDataset oracle;
+  oracle.schema = (*direct)->schema();
+  for (size_t p = 0; p < (*direct)->num_partitions(); ++p) {
+    auto batch = ColumnBatch::FromRows(oracle.schema, (*direct)->partition(p));
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    oracle.partitions.push_back(std::move(*batch));
+  }
+  auto transferred = StreamingTransfer::Run(
+      engine_.get(), "SELECT * FROM points WHERE id >= 100");
+  ASSERT_TRUE(transferred.ok()) << transferred.status();
 
-  auto from_columns =
-      ml::Dataset::FromColumnsAutoFeatures(columnar->dataset, "label");
-  auto from_rows = ml::Dataset::FromRowsAutoFeatures(row->dataset, "label");
-  ASSERT_TRUE(from_columns.ok()) << from_columns.status();
-  ASSERT_TRUE(from_rows.ok()) << from_rows.status();
-
-  // Partition order is deterministic (split i = partition i), so the two
-  // ingests must agree point for point.
-  EXPECT_EQ(from_columns->partitions(), from_rows->partitions());
+  auto flatten = [](const ml::ColumnDataset& columns) {
+    auto dataset = ml::Dataset::FromColumnsAutoFeatures(columns, "label");
+    EXPECT_TRUE(dataset.ok()) << dataset.status();
+    std::vector<std::pair<ml::DenseVector, double>> points;
+    if (!dataset.ok()) return points;
+    for (const auto& partition : dataset->partitions()) {
+      for (const ml::LabeledPoint& point : partition) {
+        points.emplace_back(point.features, point.label);
+      }
+    }
+    std::sort(points.begin(), points.end());
+    return points;
+  };
+  const auto expected = flatten(oracle);
+  EXPECT_EQ(expected.size(), 900u);
+  EXPECT_EQ(flatten(transferred->dataset), expected);
 }
 
 }  // namespace

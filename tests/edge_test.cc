@@ -36,9 +36,9 @@ TEST(ClusterTest, HostNameRoundTrip) {
 
 TEST(MetricsTest, CountersAccumulateAndReset) {
   MetricsRegistry metrics;
-  metrics.Increment("a");
-  metrics.Add("a", 4);
-  metrics.Add("b", -2);
+  metrics.GetCounter("a")->Increment();
+  metrics.GetCounter("a")->Add(4);
+  metrics.GetCounter("b")->Add(-2);
   EXPECT_EQ(metrics.Get("a"), 5);
   EXPECT_EQ(metrics.Get("b"), -2);
   EXPECT_EQ(metrics.Get("missing"), 0);
@@ -197,7 +197,7 @@ TEST_F(EdgeCaseTest, StreamedRowsWithNullsAndNastyStrings) {
   bool saw_null = false;
   bool saw_newline = false;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       if (row[1].is_null()) saw_null = true;
       if (row[1].is_string() &&
           row[1].string_value().find('\n') != std::string::npos) {

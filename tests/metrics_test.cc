@@ -1,6 +1,6 @@
 // Tests for the typed metrics instruments (counters, gauges, histograms)
 // and the registry: bucket/percentile math, concurrency, handle pointer
-// stability across Reset, the legacy string shim, and the JSON/text dumps
+// stability across Reset, reads by name, and the JSON/text dumps
 // (including failpoint hit/fire counters flowing into the dump).
 
 #include "common/metrics.h"
@@ -183,17 +183,20 @@ TEST(MetricsRegistryTest, SameNameSameHandle) {
             static_cast<void*>(registry.GetGauge("x")));
 }
 
-TEST(MetricsRegistryTest, LegacyStringShim) {
+TEST(MetricsRegistryTest, GetReadsCountersByNameWithoutCreatingThem) {
   MetricsRegistry registry;
-  registry.Increment("legacy.a");
-  registry.Add("legacy.b", 41);
-  registry.Add("legacy.b", 1);
-  EXPECT_EQ(registry.Get("legacy.a"), 1);
-  EXPECT_EQ(registry.Get("legacy.b"), 42);
-  EXPECT_EQ(registry.Get("legacy.absent"), 0);
+  registry.GetCounter("reads.counter")->Add(41);
+  registry.GetCounter("reads.counter")->Increment();
+  registry.GetGauge("reads.gauge")->Set(9);
+  EXPECT_EQ(registry.Get("reads.counter"), 42);
+  // Get reads counters only: a gauge of that name is not a counter.
+  EXPECT_EQ(registry.Get("reads.gauge"), 0);
+  // An absent name reads as zero and is not registered by the read.
+  EXPECT_EQ(registry.Get("reads.absent"), 0);
   const auto snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.at("legacy.a"), 1);
-  EXPECT_EQ(snapshot.at("legacy.b"), 42);
+  EXPECT_EQ(snapshot.count("reads.absent"), 0u);
+  EXPECT_EQ(snapshot.at("reads.counter"), 42);
+  EXPECT_EQ(snapshot.at("reads.gauge"), 9);
 }
 
 TEST(MetricsRegistryTest, SnapshotIncludesGauges) {

@@ -250,18 +250,31 @@ TEST(KMeansTest, InvalidKRejected) {
   EXPECT_TRUE(KMeans::Train(data, options).status().IsInvalidArgument());
 }
 
-TEST(DatasetTest, FromRowsMapsColumns) {
-  RowDataset rows;
-  rows.schema = Schema::Make({{"age", DataType::kInt64},
-                              {"gender", DataType::kInt64},
-                              {"amount", DataType::kDouble},
-                              {"abandoned", DataType::kInt64}});
-  rows.partitions.resize(2);
-  rows.partitions[0].push_back(Row{Value::Int64(57), Value::Int64(1),
-                                   Value::Double(153.99), Value::Int64(1)});
-  rows.partitions[1].push_back(Row{Value::Int64(40), Value::Int64(2),
-                                   Value::Double(99.5), Value::Int64(0)});
-  auto data = Dataset::FromRows(rows, "abandoned", {"age", "gender", "amount"});
+/// One ColumnBatch per partition of `rows`, typed by `schema`.
+ColumnDataset MakeColumnDataset(SchemaPtr schema,
+                                const std::vector<std::vector<Row>>& rows) {
+  ColumnDataset columns;
+  columns.schema = schema;
+  for (const std::vector<Row>& partition : rows) {
+    auto batch = ColumnBatch::FromRows(schema, partition);
+    EXPECT_TRUE(batch.ok()) << batch.status();
+    columns.partitions.push_back(std::move(*batch));
+  }
+  return columns;
+}
+
+TEST(DatasetTest, FromColumnsMapsColumns) {
+  const ColumnDataset columns = MakeColumnDataset(
+      Schema::Make({{"age", DataType::kInt64},
+                    {"gender", DataType::kInt64},
+                    {"amount", DataType::kDouble},
+                    {"abandoned", DataType::kInt64}}),
+      {{Row{Value::Int64(57), Value::Int64(1), Value::Double(153.99),
+            Value::Int64(1)}},
+       {Row{Value::Int64(40), Value::Int64(2), Value::Double(99.5),
+            Value::Int64(0)}}});
+  auto data =
+      Dataset::FromColumns(columns, "abandoned", {"age", "gender", "amount"});
   ASSERT_TRUE(data.ok()) << data.status();
   EXPECT_EQ(data->dimension(), 3u);
   EXPECT_EQ(data->TotalPoints(), 2u);
@@ -271,24 +284,21 @@ TEST(DatasetTest, FromRowsMapsColumns) {
 }
 
 TEST(DatasetTest, CategoricalFeatureRejected) {
-  RowDataset rows;
-  rows.schema = Schema::Make(
-      {{"gender", DataType::kString}, {"y", DataType::kInt64}});
-  rows.partitions.resize(1);
-  auto status = Dataset::FromRows(rows, "y", {"gender"}).status();
+  const ColumnDataset columns = MakeColumnDataset(
+      Schema::Make({{"gender", DataType::kString}, {"y", DataType::kInt64}}),
+      {{}});
+  auto status = Dataset::FromColumns(columns, "y", {"gender"}).status();
   EXPECT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("recode"), std::string::npos);
 }
 
 TEST(DatasetTest, AutoFeaturesExcludeLabel) {
-  RowDataset rows;
-  rows.schema = Schema::Make({{"a", DataType::kInt64},
-                              {"label", DataType::kInt64},
-                              {"b", DataType::kDouble}});
-  rows.partitions.resize(1);
-  rows.partitions[0].push_back(
-      Row{Value::Int64(1), Value::Int64(0), Value::Double(2.0)});
-  auto data = Dataset::FromRowsAutoFeatures(rows, "label");
+  const ColumnDataset columns = MakeColumnDataset(
+      Schema::Make({{"a", DataType::kInt64},
+                    {"label", DataType::kInt64},
+                    {"b", DataType::kDouble}}),
+      {{Row{Value::Int64(1), Value::Int64(0), Value::Double(2.0)}}});
+  auto data = Dataset::FromColumnsAutoFeatures(columns, "label");
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(data->dimension(), 2u);
   EXPECT_EQ(data->Gather()[0].features, (DenseVector{1.0, 2.0}));
@@ -518,7 +528,7 @@ TEST_F(IngestTest, ReadsEveryRowExactlyOnce) {
   // Every x value seen exactly once per file.
   std::map<int64_t, int> seen;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       seen[row[0].int64_value()]++;
     }
   }
@@ -540,6 +550,34 @@ TEST_F(IngestTest, SplitsCarryLocations) {
   auto result = runner.Ingest(&format);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->stats.local_splits, result->stats.num_splits);
+}
+
+TEST_F(IngestTest, TextReaderDeliversBatchesOnly) {
+  WriteTrainingFile("batches", 40);
+  TextFileInputFormat format(dfs_, "batches", schema_);
+  JobContext context;
+  context.cluster = cluster_;
+  auto splits = format.GetSplits(context);
+  ASSERT_TRUE(splits.ok()) << splits.status();
+  ASSERT_FALSE(splits->empty());
+  size_t rows = 0;
+  for (const InputSplitPtr& split : *splits) {
+    auto reader = format.CreateReader(context, *split, /*worker_id=*/0);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_TRUE((*reader)->SupportsBatches());
+    // The row entry point is the base class's Unimplemented default.
+    Row row;
+    EXPECT_TRUE((*reader)->Next(&row).status().IsUnimplemented());
+    ColumnBatch batch;
+    for (;;) {
+      auto more = (*reader)->NextBatch(&batch);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      EXPECT_EQ(batch.schema()->ToString(), schema_->ToString());
+      rows += batch.num_rows();
+    }
+  }
+  EXPECT_EQ(rows, 40u);
 }
 
 TEST_F(IngestTest, MissingInputErrors) {
@@ -571,7 +609,7 @@ TEST_F(IngestTest, EndToEndTrainFromDfs) {
   MlJobRunner runner(context);
   auto ingest = runner.Ingest(&format);
   ASSERT_TRUE(ingest.ok());
-  auto data = Dataset::FromRows(ingest->dataset, "label", {"y"});
+  auto data = Dataset::FromColumns(ingest->dataset, "label", {"y"});
   ASSERT_TRUE(data.ok());
   SgdOptions options;
   options.iterations = 50;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -163,11 +164,37 @@ TEST_F(MqTransferTest, DeliversEveryRowExactlyOnce) {
   EXPECT_EQ(result->messages_reread, 0);
   std::set<int64_t> ids;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
     }
   }
   EXPECT_EQ(ids.size(), 2000u);
+}
+
+TEST_F(MqTransferTest, DatasetKeepsSchemaAndStringValues) {
+  // The broker path ingests through the same columnar Ingest as the direct
+  // transfer: typed columns, strings intact.
+  auto expected = engine_->ExecuteSql("SELECT * FROM events");
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  std::map<int64_t, std::string> payloads;
+  for (const Row& row : (*expected)->GatherRows()) {
+    payloads[row[0].int64_value()] = row[1].string_value();
+  }
+  auto result = MqTransfer::Run(engine_.get(), broker_,
+                                "SELECT * FROM events");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->dataset.schema->ToString(), "id:INT64, payload:STRING");
+  size_t matched = 0;
+  for (const auto& partition : result->dataset.partitions) {
+    for (const Row& row : partition.ToRows()) {
+      auto it = payloads.find(row[0].int64_value());
+      ASSERT_NE(it, payloads.end());
+      EXPECT_EQ(row[1].string_value(), it->second);
+      ++matched;
+    }
+  }
+  EXPECT_EQ(matched, payloads.size());
+  EXPECT_EQ(matched, 2000u);
 }
 
 TEST_F(MqTransferTest, MultiplePartitionsPerWorker) {
@@ -193,7 +220,7 @@ TEST_F(MqTransferTest, ConsumerCrashResumesFromCommittedOffset) {
   EXPECT_EQ(result->dataset.TotalRows(), 2000u);
   std::set<int64_t> ids;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
     }
   }

@@ -3,7 +3,9 @@
 // flow control (a starved channel parks alone), close/failure semantics
 // (channel close never touches the shared socket; connection death fails
 // every channel), the reader-side connection pool bound, sink-key routing
-// on the process-wide sink server, and the shared heartbeat bus.
+// on the process-wide sink server, the shared heartbeat bus, the send_data
+// fault point's match on kColData only, and a stream reader's rejection of
+// the retired row-data frame type.
 
 #include <gtest/gtest.h>
 
@@ -16,12 +18,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/metrics.h"
-#include "common/runtime_flags.h"
+#include "common/stopwatch.h"
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "stream/heartbeat.h"
 #include "stream/socket.h"
+#include "stream/sql_stream_input_format.h"
 #include "stream/wire.h"
 
 namespace sqlink {
@@ -31,17 +35,17 @@ namespace {
 struct OpenedChannels {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<FrameChannelPtr> channels;
+  std::vector<MuxChannelPtr> channels;
   std::vector<OpenChannelMessage> opens;
 
-  void Add(FrameChannelPtr channel, const OpenChannelMessage& msg) {
+  void Add(MuxChannelPtr channel, const OpenChannelMessage& msg) {
     std::lock_guard<std::mutex> lock(mu);
     channels.push_back(std::move(channel));
     opens.push_back(msg);
     cv.notify_all();
   }
 
-  FrameChannelPtr Wait(size_t index) {
+  MuxChannelPtr Wait(size_t index) {
     std::unique_lock<std::mutex> lock(mu);
     cv.wait(lock, [&] { return channels.size() > index; });
     return channels[index];
@@ -65,7 +69,7 @@ struct MuxPair {
     auto opened = pair.opened;
     pair.server = MuxConn::Spawn(
         std::move(*accepted),
-        [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+        [opened](MuxChannelPtr channel, const OpenChannelMessage& msg) {
           opened->Add(std::move(channel), msg);
         });
     pair.client = MuxConn::Spawn(std::move(*dialed), /*on_open=*/nullptr);
@@ -91,7 +95,7 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   constexpr int kChannels = 3;
   constexpr int kFrames = 20;
 
-  std::vector<FrameChannelPtr> senders;
+  std::vector<MuxChannelPtr> senders;
   for (int c = 0; c < kChannels; ++c) {
     auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
     ASSERT_TRUE(channel.ok()) << channel.status();
@@ -108,7 +112,7 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
         const std::string payload =
             "ch" + std::to_string(c) + ":" + std::to_string(i);
         ASSERT_TRUE(senders[c]
-                        ->Send(FrameType::kData, payload,
+                        ->Send(FrameType::kColData, payload,
                                static_cast<uint64_t>(i + 1))
                         .ok());
       }
@@ -117,13 +121,13 @@ TEST(MuxTest, InterleavedChannelsKeepPerChannelFifoOrder) {
   for (auto& t : threads) t.join();
 
   for (int c = 0; c < kChannels; ++c) {
-    FrameChannelPtr receiver = pair.opened->Wait(static_cast<size_t>(c));
+    MuxChannelPtr receiver = pair.opened->Wait(static_cast<size_t>(c));
     // Channel c's open message carried the embedded HELLO.
     EXPECT_EQ(pair.opened->opens[static_cast<size_t>(c)].hello.split_id, 1);
     // Identify which client channel this is by its first frame's payload.
     Frame frame;
     ASSERT_TRUE(receiver->Recv(&frame).ok());
-    ASSERT_EQ(frame.type, FrameType::kData);
+    ASSERT_EQ(frame.type, FrameType::kColData);
     ASSERT_EQ(frame.payload.substr(0, 2), "ch");
     const std::string prefix = frame.payload.substr(0, frame.payload.find(':'));
     EXPECT_EQ(frame.seq, 1u);
@@ -149,25 +153,36 @@ TEST(MuxTest, WindowExhaustionParksOnlyTheStarvedChannel) {
   // while A is parked.
   auto flowing = pair.client->OpenChannel(OpenMsg(64));
   ASSERT_TRUE(flowing.ok());
-  FrameChannelPtr starved_rx = pair.opened->Wait(0);
-  FrameChannelPtr flowing_rx = pair.opened->Wait(1);
+  MuxChannelPtr starved_rx = pair.opened->Wait(0);
+  MuxChannelPtr flowing_rx = pair.opened->Wait(1);
 
   std::atomic<int> starved_sent{0};
   std::thread starved_sender([&] {
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE((*starved)
-                      ->Send(FrameType::kData, payload,
+                      ->Send(FrameType::kColData, payload,
                              static_cast<uint64_t>(i + 1))
                       .ok());
       starved_sent.fetch_add(1);
     }
   });
 
+  // The third frame parks A only once the sender thread gets that far: wait
+  // (deadline-capped) for the stall before B starts, so B's round trips run
+  // while A is provably parked.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (metrics.Get("net.mux.window_stalls") == stalls_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(metrics.Get("net.mux.window_stalls"), stalls_before);
+
   // B makes 20 full round trips on the shared connection while A is stuck.
   Frame frame;
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE((*flowing)
-                    ->Send(FrameType::kData, payload,
+                    ->Send(FrameType::kColData, payload,
                            static_cast<uint64_t>(i + 1))
                     .ok());
     ASSERT_TRUE(flowing_rx->Recv(&frame).ok());
@@ -192,14 +207,14 @@ TEST(MuxTest, ShutdownWakesAParkedSenderWithoutTouchingTheSocket) {
   ASSERT_TRUE(starved.ok());
   auto healthy = pair.client->OpenChannel(OpenMsg(1 << 20));
   ASSERT_TRUE(healthy.ok());
-  FrameChannelPtr healthy_rx = pair.opened->Wait(1);
+  MuxChannelPtr healthy_rx = pair.opened->Wait(1);
 
   const std::string payload(32, 'x');
-  ASSERT_TRUE((*starved)->Send(FrameType::kData, payload, 1).ok());
+  ASSERT_TRUE((*starved)->Send(FrameType::kColData, payload, 1).ok());
   std::atomic<bool> woke{false};
   Status parked_status;
   std::thread parked([&] {
-    parked_status = (*starved)->Send(FrameType::kData, payload, 2);
+    parked_status = (*starved)->Send(FrameType::kColData, payload, 2);
     woke.store(true);
   });
   // Replay-abort while the sender is parked on an empty window (the serving
@@ -215,7 +230,7 @@ TEST(MuxTest, ShutdownWakesAParkedSenderWithoutTouchingTheSocket) {
   // The shared socket survived the channel close: its socket-mate still
   // makes full round trips.
   Frame frame;
-  ASSERT_TRUE((*healthy)->Send(FrameType::kData, "still alive", 1).ok());
+  ASSERT_TRUE((*healthy)->Send(FrameType::kColData, "still alive", 1).ok());
   ASSERT_TRUE(healthy_rx->Recv(&frame).ok());
   EXPECT_EQ(frame.payload, "still alive");
   EXPECT_FALSE(pair.client->dead());
@@ -226,7 +241,7 @@ TEST(MuxTest, RemoteCloseSurfacesStatusToPeerSendAndRecv) {
   MuxPair pair = MuxPair::Make();
   auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
   ASSERT_TRUE(channel.ok());
-  FrameChannelPtr server_side = pair.opened->Wait(0);
+  MuxChannelPtr server_side = pair.opened->Wait(0);
 
   server_side->Shutdown(Status::Unavailable("sink not serving"));
   // The close races the open in the demux pipeline; both Send and Recv must
@@ -235,7 +250,7 @@ TEST(MuxTest, RemoteCloseSurfacesStatusToPeerSendAndRecv) {
   Status status = (*channel)->Recv(&frame);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsUnavailable()) << status;
-  status = (*channel)->Send(FrameType::kData, "late", 1);
+  status = (*channel)->Send(FrameType::kColData, "late", 1);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsUnavailable()) << status;
 }
@@ -264,7 +279,7 @@ TEST(MuxTest, SinkServerRoutesBySinkKeyAndRejectsUnknownKeys) {
   ASSERT_TRUE(port.ok()) << port.status();
   auto opened = std::make_shared<OpenedChannels>();
   const uint64_t key = MuxSinkServer::Global().Register(
-      [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+      [opened](MuxChannelPtr channel, const OpenChannelMessage& msg) {
         opened->Add(std::move(channel), msg);
       });
   ASSERT_NE(key, 0u);
@@ -274,7 +289,7 @@ TEST(MuxTest, SinkServerRoutesBySinkKeyAndRejectsUnknownKeys) {
   auto routed = MuxConnPool::Global().OpenChannel("localhost", *port, key,
                                                   /*affinity=*/3, hello);
   ASSERT_TRUE(routed.ok()) << routed.status();
-  FrameChannelPtr sink_side = opened->Wait(0);
+  MuxChannelPtr sink_side = opened->Wait(0);
   EXPECT_EQ(opened->opens[0].hello.split_id, 3);
   ASSERT_TRUE(sink_side->Send(FrameType::kResume, "", 0).ok());
   Frame frame;
@@ -289,7 +304,7 @@ TEST(MuxTest, SinkServerRoutesBySinkKeyAndRejectsUnknownKeys) {
   Status status = (*rejected)->Recv(&frame);
   ASSERT_FALSE(status.ok());
   EXPECT_TRUE(status.IsUnavailable()) << status;
-  ASSERT_TRUE(sink_side->Send(FrameType::kData, "alive", 1).ok());
+  ASSERT_TRUE(sink_side->Send(FrameType::kColData, "alive", 1).ok());
   ASSERT_TRUE((*routed)->Recv(&frame).ok());
   EXPECT_EQ(frame.payload, "alive");
 
@@ -304,13 +319,13 @@ TEST(MuxTest, PoolCapsSharedConnectionsPerPeer) {
   ASSERT_TRUE(port.ok()) << port.status();
   auto opened = std::make_shared<OpenedChannels>();
   const uint64_t key = MuxSinkServer::Global().Register(
-      [opened](FrameChannelPtr channel, const OpenChannelMessage& msg) {
+      [opened](MuxChannelPtr channel, const OpenChannelMessage& msg) {
         opened->Add(std::move(channel), msg);
       });
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   const int64_t dials_before = metrics.Get("stream.reader.data_dials");
-  std::vector<FrameChannelPtr> channels;
+  std::vector<MuxChannelPtr> channels;
   for (uint64_t affinity = 0; affinity < 16; ++affinity) {
     HelloMessage hello;
     hello.split_id = static_cast<int>(affinity);
@@ -334,6 +349,83 @@ TEST(MuxTest, PoolCapsSharedConnectionsPerPeer) {
   MuxSinkServer::Global().Unregister(key);
   MuxConnPool::Global().ResetForTest();
   SetMuxConnsPerPeerForTest(0);
+}
+
+TEST(MuxTest, StreamReaderRejectsRetiredRowDataFrame) {
+  // Type 2 carried row-encoded data batches before kColData became the only
+  // data encoding. A peer that still sends one must get a typed error from
+  // the reader, not a hang or a crash.
+  constexpr auto kRetiredRowData = static_cast<FrameType>(2);
+  auto port = MuxSinkServer::Global().EnsureStarted();
+  ASSERT_TRUE(port.ok()) << port.status();
+  auto opened = std::make_shared<OpenedChannels>();
+  const uint64_t key = MuxSinkServer::Global().Register(
+      [opened](MuxChannelPtr channel, const OpenChannelMessage& msg) {
+        opened->Add(std::move(channel), msg);
+      });
+
+  // A sink that answers the HELLO like the real one, then sends the
+  // retired frame type in place of a kColData frame.
+  const SchemaPtr schema = Schema::Make({{"id", DataType::kInt64}});
+  std::thread sink([&] {
+    MuxChannelPtr channel = opened->Wait(0);
+    EXPECT_TRUE(
+        channel->Send(FrameType::kResume, ResumeMessage{}.Encode(), 0).ok());
+    std::string schema_payload;
+    EncodeSchema(*schema, &schema_payload);
+    EXPECT_TRUE(channel->Send(FrameType::kSchema, schema_payload, 0).ok());
+    EXPECT_TRUE(channel->Send(kRetiredRowData, "rows", 1).ok());
+  });
+
+  StreamSplitInfo info;
+  info.host = "localhost";
+  info.port = *port;
+  info.sink_key = key;
+  // Recovery is off, so the reader never contacts the coordinator.
+  SqlStreamInputFormat format("localhost", /*coordinator_port=*/0);
+  auto reader = format.CreateReader(ml::JobContext{}, StreamSplit(info),
+                                    /*worker_id=*/0);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_TRUE((*reader)->Open().ok());
+  Stopwatch timer;
+  ColumnBatch batch;
+  auto next = (*reader)->NextBatch(&batch);
+  EXPECT_TRUE(next.status().IsDataLoss()) << next.status();
+  EXPECT_LT(timer.ElapsedMicros(), 5 * 1000 * 1000);
+  sink.join();
+
+  reader->reset();
+  MuxSinkServer::Global().Unregister(key);
+  MuxConnPool::Global().ResetForTest();
+}
+
+TEST(MuxTest, SendDataFailpointMatchesColumnarFramesOnly) {
+  // kColData is the only data frame: the send_data fault point must skip
+  // control-plane frames and the retired row-data type alike.
+  MuxPair pair = MuxPair::Make();
+  auto channel = pair.client->OpenChannel(OpenMsg(1 << 20));
+  ASSERT_TRUE(channel.ok()) << channel.status();
+  MuxChannelPtr server_side = pair.opened->Wait(0);
+  ScopedFailpoint fault("stream.wire.send_data", "error(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+
+  ASSERT_TRUE((*channel)->Send(FrameType::kSchema, "schema", 0).ok());
+  ASSERT_TRUE((*channel)->Send(static_cast<FrameType>(2), "rows", 1).ok());
+  ASSERT_TRUE((*channel)->Send(FrameType::kEnd, "end", 2).ok());
+  EXPECT_EQ(fault.hits(), 0);
+
+  const Status status = (*channel)->Send(FrameType::kColData, "cols", 3);
+  EXPECT_TRUE(status.IsNetworkError()) << status;
+  EXPECT_EQ(fault.hits(), 1);
+  EXPECT_EQ(fault.fires(), 1);
+
+  // Only the three unfaulted frames reached the peer, in order.
+  Frame frame;
+  for (FrameType type :
+       {FrameType::kSchema, static_cast<FrameType>(2), FrameType::kEnd}) {
+    ASSERT_TRUE(server_side->Recv(&frame).ok());
+    EXPECT_EQ(frame.type, type);
+  }
 }
 
 TEST(MuxTest, HeartbeatBusSharesOneConnectionPerPeer) {

@@ -76,13 +76,13 @@ TEST(WireTest, FrameRoundTrip) {
     ASSERT_TRUE(conn.ok());
     auto frame = RecvFrame(&*conn);
     ASSERT_TRUE(frame.ok());
-    EXPECT_EQ(frame->type, FrameType::kData);
+    EXPECT_EQ(frame->type, FrameType::kColData);
     EXPECT_EQ(frame->payload, "payload-bytes");
     ASSERT_TRUE(SendFrame(&*conn, FrameType::kEnd, "").ok());
   });
   auto client = TcpConnect("localhost", listener->port());
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(SendFrame(&*client, FrameType::kData, "payload-bytes").ok());
+  ASSERT_TRUE(SendFrame(&*client, FrameType::kColData, "payload-bytes").ok());
   auto end = RecvFrame(&*client);
   ASSERT_TRUE(end.ok());
   EXPECT_EQ(end->type, FrameType::kEnd);
@@ -382,7 +382,7 @@ TEST_F(StreamingTransferTest, DeliversEveryRowExactlyOnce) {
   EXPECT_EQ(result->stats.num_splits, 4);  // k=1, n=4.
   std::set<int64_t> ids;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
     }
   }
@@ -410,7 +410,7 @@ TEST_F(StreamingTransferTest, MultipleSplitsPerWorker) {
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
   // Round-robin keeps split sizes balanced.
   for (const auto& partition : result->dataset.partitions) {
-    EXPECT_GT(partition.size(), 0u);
+    EXPECT_GT(partition.num_rows(), 0u);
   }
 }
 
@@ -436,8 +436,10 @@ TEST_F(StreamingTransferTest, RecoversFromInjectedFailure) {
   StreamTransferOptions options;
   options.sink.resilient = true;  // SQL side retains a replayable log.
   options.reader.recovery_enabled = true;
-  // Split 1's reader drops its connection once, after 50 delivered rows.
-  ScopedFailpoint fault("stream.reader.row.split1", "after(49):error(1)");
+  // Split 1's reader drops its connection once, right after its first
+  // delivered batch — before that frame is committed, so the replay must
+  // be recognized and not applied twice.
+  ScopedFailpoint fault("stream.reader.row.split1", "error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
@@ -446,7 +448,7 @@ TEST_F(StreamingTransferTest, RecoversFromInjectedFailure) {
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
   std::set<int64_t> ids;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       EXPECT_TRUE(ids.insert(row[0].int64_value()).second)
           << "duplicate row " << row[0].int64_value();
     }
@@ -466,8 +468,8 @@ TEST_F(StreamingTransferTest, RecoversWithMultipleSplitsPerWorker) {
   options.splits_per_worker = 2;
   options.sink.resilient = true;
   options.reader.recovery_enabled = true;
-  // Split 5 = worker 2, slot 1: fails once after 30 delivered rows.
-  ScopedFailpoint fault("stream.reader.row.split5", "after(29):error(1)");
+  // Split 5 = worker 2, slot 1: fails once after its first delivered batch.
+  ScopedFailpoint fault("stream.reader.row.split5", "error(1)");
   ASSERT_TRUE(fault.status().ok()) << fault.status();
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
@@ -475,7 +477,7 @@ TEST_F(StreamingTransferTest, RecoversWithMultipleSplitsPerWorker) {
   EXPECT_EQ(result->dataset.TotalRows(), 1000u);
   std::set<int64_t> ids;
   for (const auto& partition : result->dataset.partitions) {
-    for (const Row& row : partition) {
+    for (const Row& row : partition.ToRows()) {
       EXPECT_TRUE(ids.insert(row[0].int64_value()).second);
     }
   }
@@ -488,7 +490,7 @@ TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
   options.sink.reconnect_timeout_ms = 300;  // Keep the failing run fast.
   options.reader.recovery_enabled = true;
   options.reader.max_reconnects = 0;  // Recovery enabled but exhausted.
-  ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
+  ScopedFailpoint fault("stream.reader.row.split0", "error(1)");
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
   EXPECT_FALSE(result.ok());
@@ -497,7 +499,7 @@ TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
 TEST_F(StreamingTransferTest, FailureWithoutRecoveryFailsThePipeline) {
   StreamTransferOptions options;
   options.reader.recovery_enabled = false;
-  ScopedFailpoint fault("stream.reader.row.split0", "after(9):error(1)");
+  ScopedFailpoint fault("stream.reader.row.split0", "error(1)");
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
   EXPECT_FALSE(result.ok());
