@@ -37,13 +37,6 @@ cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 run_suites "${BUILD_DIR}"
 
-# The vectorized SQL engine (SQLINK_VECTORIZED_SQL, default on):
-# the unit suite reruns with the row-at-a-time operators forced, so both
-# engine modes stay green against the same goldens and differential checks.
-echo "==> [${BUILD_DIR}] row-engine suite (SQLINK_VECTORIZED_SQL=off)"
-(cd "${BUILD_DIR}" &&
- SQLINK_VECTORIZED_SQL=off ctest -L unit --output-on-failure -j "${JOBS}")
-
 # Bench smoke: the default build is Release, so the transform and ingest
 # micro benches run here directly. bench_transform --check fails the stage
 # if the columnar transform is ever slower than the row path; bench_ingest
@@ -56,9 +49,10 @@ rm -f "${BENCH_JSON}"
 SQLINK_BENCH_JSON="${BENCH_JSON}" "${BUILD_DIR}/bench/bench_transform" 1000000 --check
 SQLINK_BENCH_JSON="${BENCH_JSON}" "${BUILD_DIR}/bench/bench_ingest" 400000 --check
 
-# SQL engine smoke: the vectorized executor must be >= 2x faster than the
-# row engine on a join+filter+DISTINCT query; series lands in BENCH_pr6.json.
-echo "==> [${BUILD_DIR}] bench smoke (row vs vectorized SQL)"
+# SQL engine smoke: times a join+filter+DISTINCT query with its
+# per-operator stats; --check fails on a query error or an empty result.
+# Series lands in BENCH_pr6.json.
+echo "==> [${BUILD_DIR}] bench smoke (SQL join+filter+DISTINCT)"
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_sql
 SQL_BENCH_JSON="$(pwd)/BENCH_pr6.json"
 rm -f "${SQL_BENCH_JSON}"
@@ -135,17 +129,16 @@ echo "    ops endpoint smoke passed (port ${OPS_PORT})"
 
 # Serving concurrency smoke: one long-lived `sql_shell --serve` process,
 # eight parallel `sql_shell --connect` clients each running a real query
-# over the wire. Every client must print the exact COUNT(*), in both
-# engine modes (vectorized and row-at-a-time), proving the server stays
-# correct under concurrent admission. The server stops cleanly on "quit".
+# over the wire. Every client must print the exact COUNT(*), proving the
+# server stays correct under concurrent admission. The server stops
+# cleanly on "quit".
 serving_smoke() {
-  local mode_env="$1" mode_name="$2"
-  echo "==> [${BUILD_DIR}] serving concurrency smoke (${mode_name})"
+  echo "==> [${BUILD_DIR}] serving concurrency smoke"
   local serve_log fifo port
   serve_log="$(mktemp)"
   fifo="$(mktemp -u)"
   mkfifo "${fifo}"
-  env ${mode_env} SQLINK_MAX_CONCURRENT_QUERIES=4 \
+  SQLINK_MAX_CONCURRENT_QUERIES=4 \
     "${BUILD_DIR}/examples/sql_shell" --serve 0 2000 \
     < "${fifo}" > "${serve_log}" 2>&1 &
   local serve_pid=$!
@@ -183,12 +176,11 @@ serving_smoke() {
   wait "${serve_pid}" || failed=1
   rm -f "${serve_log}" "${fifo}"
   if [[ "${failed}" -ne 0 ]]; then
-    echo "serving concurrency smoke (${mode_name}) FAILED"; exit 1
+    echo "serving concurrency smoke FAILED"; exit 1
   fi
-  echo "    serving concurrency smoke passed (${mode_name}, port ${port})"
+  echo "    serving concurrency smoke passed (port ${port})"
 }
-serving_smoke "" "vectorized engine"
-serving_smoke "SQLINK_VECTORIZED_SQL=off" "row engine"
+serving_smoke
 
 if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   SAN_DIR="${BUILD_DIR}-${SQLINK_SANITIZE}"

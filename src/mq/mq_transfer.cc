@@ -86,8 +86,8 @@ class MqSinkUdf final : public TableUdf {
                          {"messages_published", DataType::kInt64}});
   }
 
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override {
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override {
     // First worker creates the topic (n·k partitions); others race benignly.
     MessageBroker::TopicConfig config;
     config.num_partitions = context.num_workers * k_;
@@ -107,10 +107,11 @@ class MqSinkUdf final : public TableUdf {
           .status();
     };
 
+    BatchToRowIterator input_rows(input);
     Row row;
     int next = 0;
     for (;;) {
-      ASSIGN_OR_RETURN(bool has, input->Next(&row));
+      ASSIGN_OR_RETURN(bool has, input_rows.Next(&row));
       if (!has) break;
       MessageBatcher& batch = batchers[static_cast<size_t>(next)];
       batch.Add(row);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "sql/row_iterator.h"
 #include "table/column_batch.h"
 #include "table/schema.h"
 
@@ -17,9 +16,10 @@ namespace sqlink {
 /// (sizes 0, 1, kSqlBatchRows-1, kSqlBatchRows, kSqlBatchRows+1).
 inline constexpr size_t kSqlBatchRows = 1024;
 
-/// Pull-based columnar operator interface, the vectorized counterpart of
-/// RowIterator: Next fills `*out` (contents replaced) with the next batch
-/// and returns false at end of stream. Emitted batches are non-empty.
+/// Pull-based columnar operator interface, the execution interface between
+/// physical operators within one worker's pipeline: Next fills `*out`
+/// (contents replaced) with the next batch and returns false at end of
+/// stream. Emitted batches are non-empty.
 class BatchIterator {
  public:
   virtual ~BatchIterator() = default;
@@ -48,12 +48,13 @@ class EmptyBatchIterator final : public BatchIterator {
   Result<bool> Next(ColumnBatch*) override { return false; }
 };
 
-/// Adapts a batch pipeline to the row interface (feeds row-only consumers
-/// such as table UDFs without batch support).
-class BatchToRowIterator final : public RowIterator {
+/// Reads a batch pipeline one row at a time, for table UDFs whose logic is
+/// per row (recode_assign, the MQ sink): Next fills `*row` with the next
+/// row and returns false at end of stream.
+class BatchToRowIterator {
  public:
   explicit BatchToRowIterator(BatchIterator* child) : child_(child) {}
-  Result<bool> Next(Row* row) override;
+  Result<bool> Next(Row* row);
 
  private:
   BatchIterator* child_;  // Borrowed.
@@ -62,13 +63,14 @@ class BatchToRowIterator final : public RowIterator {
   bool done_ = false;
 };
 
-/// Push-based consumer of a table UDF's output in the vectorized engine.
-/// Batch-native UDFs hand over whole ColumnBatches (PushBatch, moved, with
-/// the UDF's bound output schema); row-emitting UDFs keep using
-/// RowSink::Push and the sink packs their rows into batches. A UDF may mix
-/// both; output order is push order.
-class BatchSink : public RowSink {
+/// Push-based consumer of a table UDF's output. Batch-native UDFs hand over
+/// whole ColumnBatches (PushBatch, moved, with the UDF's bound output
+/// schema); row-emitting UDFs use Push and the sink packs their rows into
+/// batches. A UDF may mix both; output order is push order.
+class BatchSink {
  public:
+  virtual ~BatchSink() = default;
+  virtual Status Push(Row row) = 0;
   virtual Status PushBatch(ColumnBatch batch) = 0;
 };
 

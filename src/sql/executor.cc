@@ -1,7 +1,6 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -10,13 +9,11 @@
 #include "common/blocking_queue.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "sql/batch_kernels.h"
-#include "sql/row_iterator.h"
 
 namespace sqlink {
 
@@ -33,18 +30,6 @@ Status ParallelWorkers(int n, const std::function<Status(int)>& fn) {
   }
   return Status::OK();
 }
-
-/// Lexicographic row ordering (NULL-first per Value::operator<).
-struct RowLess {
-  bool operator()(const Row& a, const Row& b) const {
-    const size_t n = std::min(a.size(), b.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (a[i] < b[i]) return true;
-      if (b[i] < a[i]) return false;
-    }
-    return a.size() < b.size();
-  }
-};
 
 bool RowKeyEquals(const Row& a, const std::vector<int>& a_keys, const Row& b,
                   const std::vector<int>& b_keys) {
@@ -77,16 +62,9 @@ class JoinHashTable {
     }
   }
 
-  /// Invokes fn(build_row) for every build row matching the probe key.
-  template <typename Fn>
-  void Probe(const Row& probe, const std::vector<int>& probe_keys,
-             Fn&& fn) const {
-    ProbeIndices(probe, probe_keys,
-                 [this, &fn](size_t index) { fn(rows_[index]); });
-  }
-
-  /// Index-returning probe for the vectorized join, which gathers matched
-  /// build rows out of a pre-built ColumnBatch instead of boxing them.
+  /// Invokes fn(build_index) for every build row matching the probe key;
+  /// the join gathers matched build rows out of a pre-built ColumnBatch
+  /// instead of boxing them.
   template <typename Fn>
   void ProbeIndices(const Row& probe, const std::vector<int>& probe_keys,
                     Fn&& fn) const {
@@ -109,167 +87,11 @@ class JoinHashTable {
   std::unordered_map<size_t, std::vector<size_t>> buckets_;
 };
 
-class FilterIterator final : public RowIterator {
- public:
-  FilterIterator(RowIteratorPtr child, BoundExprPtr predicate)
-      : child_(std::move(child)), predicate_(std::move(predicate)) {}
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(out));
-      if (!has) return false;
-      ASSIGN_OR_RETURN(Value keep, predicate_->Evaluate(*out));
-      if (IsTruthy(keep)) return true;
-    }
-  }
-
- private:
-  RowIteratorPtr child_;
-  BoundExprPtr predicate_;
-};
-
-class ProjectIterator final : public RowIterator {
- public:
-  ProjectIterator(RowIteratorPtr child, const std::vector<BoundExprPtr>* exprs)
-      : child_(std::move(child)), exprs_(exprs) {}
-
-  Result<bool> Next(Row* out) override {
-    Row input;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&input));
-    if (!has) return false;
-    out->clear();
-    out->reserve(exprs_->size());
-    for (const BoundExprPtr& expr : *exprs_) {
-      ASSIGN_OR_RETURN(Value v, expr->Evaluate(input));
-      out->push_back(std::move(v));
-    }
-    return true;
-  }
-
- private:
-  RowIteratorPtr child_;
-  const std::vector<BoundExprPtr>* exprs_;
-};
-
-/// Probe-side pipelined hash join. Emits probe ++ build rows that satisfy
-/// the optional residual predicate.
-class HashJoinIterator final : public RowIterator {
- public:
-  HashJoinIterator(RowIteratorPtr probe, std::shared_ptr<const JoinHashTable> table,
-                   const std::vector<int>* probe_keys, BoundExprPtr residual)
-      : probe_(std::move(probe)),
-        table_(std::move(table)),
-        probe_keys_(probe_keys),
-        residual_(std::move(residual)) {}
-
-  Result<bool> Next(Row* out) override {
-    for (;;) {
-      if (match_index_ < matches_.size()) {
-        const Row* build_row = matches_[match_index_++];
-        out->clear();
-        out->reserve(probe_row_.size() + build_row->size());
-        out->insert(out->end(), probe_row_.begin(), probe_row_.end());
-        out->insert(out->end(), build_row->begin(), build_row->end());
-        if (residual_ != nullptr) {
-          ASSIGN_OR_RETURN(Value keep, residual_->Evaluate(*out));
-          if (!IsTruthy(keep)) continue;
-        }
-        return true;
-      }
-      ASSIGN_OR_RETURN(bool has, probe_->Next(&probe_row_));
-      if (!has) return false;
-      matches_.clear();
-      match_index_ = 0;
-      table_->Probe(probe_row_, *probe_keys_,
-                    [this](const Row& build_row) {
-                      matches_.push_back(&build_row);
-                    });
-    }
-  }
-
- private:
-  RowIteratorPtr probe_;
-  std::shared_ptr<const JoinHashTable> table_;
-  const std::vector<int>* probe_keys_;
-  BoundExprPtr residual_;
-  Row probe_row_;
-  std::vector<const Row*> matches_;
-  size_t match_index_ = 0;
-};
-
-constexpr size_t kUdfQueueCapacity = 4096;
-
-class RowQueueSink final : public RowSink {
- public:
-  explicit RowQueueSink(BlockingQueue<Row>* queue) : queue_(queue) {}
-  Status Push(Row row) override {
-    if (!queue_->Push(std::move(row))) {
-      return Status::Cancelled("downstream consumer closed");
-    }
-    return Status::OK();
-  }
-
- private:
-  BlockingQueue<Row>* queue_;
-};
-
-/// Pipelines a table UDF: a pump thread runs ProcessPartition() pushing into
-/// a bounded queue that this iterator drains. Keeps UDFs with side effects
-/// (the streaming-transfer sink) overlapped with upstream query execution.
-class UdfPartitionIterator final : public RowIterator {
- public:
-  UdfPartitionIterator(TableUdfPtr udf, TableUdfContext context,
-                       RowIteratorPtr input)
-      : udf_(std::move(udf)),
-        context_(context),
-        input_(std::move(input)),
-        queue_(kUdfQueueCapacity) {
-    pump_ = std::thread([this] {
-      RowQueueSink sink(&queue_);
-      const Status status =
-          udf_->ProcessPartition(context_, input_.get(), &sink);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        // A cancelled push just means the consumer stopped early.
-        if (!status.ok() && !status.IsCancelled()) pump_status_ = status;
-      }
-      queue_.Close();
-    });
-  }
-
-  ~UdfPartitionIterator() override {
-    queue_.Close();
-    if (pump_.joinable()) pump_.join();
-  }
-
-  Result<bool> Next(Row* out) override {
-    std::optional<Row> row = queue_.Pop();
-    if (!row.has_value()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!pump_status_.ok()) return pump_status_;
-      return false;
-    }
-    *out = std::move(*row);
-    return true;
-  }
-
- private:
-  TableUdfPtr udf_;
-  TableUdfContext context_;
-  RowIteratorPtr input_;
-  BlockingQueue<Row> queue_;
-  std::thread pump_;
-  std::mutex mu_;
-  Status pump_status_;
-};
-
-class EmptyIterator final : public RowIterator {
- public:
-  Result<bool> Next(Row*) override { return false; }
-};
-
 // ---------------------------------------------------------------------------
-// Vectorized operators (BatchIterator pipelines over ColumnBatch)
+// Pipeline operators (BatchIterator chains over ColumnBatch)
+
+/// Rows a UDF pump may hold in flight between its thread and the consumer.
+constexpr size_t kUdfQueueCapacity = 4096;
 
 /// Vectorized filter: evaluates the predicate column-at-a-time, compacts
 /// surviving rows through a selection vector. Batches where every row
@@ -423,8 +245,8 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   std::vector<int32_t> sel_;
 };
 
-/// Pump-side output of a batch-mode table UDF: whole batches pass through
-/// to the queue untouched; rows from row-emitting UDFs (the sink's summary,
+/// Pump-side output of a table UDF: whole batches pass through to the queue
+/// untouched; rows from row-emitting UDFs (the sink's summary,
 /// recode_assign) are packed into kSqlBatchRows batches first.
 class BatchQueueSink final : public BatchSink {
  public:
@@ -465,11 +287,12 @@ class BatchQueueSink final : public BatchSink {
   ColumnBatch pending_;
 };
 
-/// Batch-mode UDF pump: the pump thread runs ProcessPartitionBatches over
-/// the columnar input and everything the UDF emits reaches this iterator as
+/// Pipelines a table UDF: a pump thread runs ProcessPartition over the
+/// columnar input and everything the UDF emits reaches this iterator as
 /// ColumnBatches moved through a bounded queue — one handoff per batch, not
-/// per row. The queue holds kUdfQueueCapacity / kSqlBatchRows batches, so
-/// about as many rows are in flight as in the row pump.
+/// per row. The queue holds kUdfQueueCapacity / kSqlBatchRows batches.
+/// Keeps UDFs with side effects (the streaming-transfer sink) overlapped
+/// with upstream query execution.
 class UdfBatchPartitionIterator final : public BatchIterator {
  public:
   UdfBatchPartitionIterator(TableUdfPtr udf, TableUdfContext context,
@@ -482,7 +305,7 @@ class UdfBatchPartitionIterator final : public BatchIterator {
     pump_ = std::thread([this] {
       BatchQueueSink sink(&queue_, output_schema_);
       Status status =
-          udf_->ProcessPartitionBatches(context_, input_.get(), &sink);
+          udf_->ProcessPartition(context_, input_.get(), &sink);
       if (status.ok()) status = sink.FlushRows();
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -521,7 +344,7 @@ class UdfBatchPartitionIterator final : public BatchIterator {
 
 /// Hash-based duplicate elimination over batches: unique rows accumulate in
 /// a ColumnBatch keyed by content hash, without boxing. Used by both phases
-/// of the vectorized DISTINCT.
+/// of DISTINCT.
 struct BatchDedup {
   explicit BatchDedup(SchemaPtr schema) : acc(std::move(schema)) {}
 
@@ -548,7 +371,7 @@ struct BatchDedup {
 // ---------------------------------------------------------------------------
 // Per-operator stats wrappers (EXPLAIN ANALYZE / the /queries endpoint).
 // Counts and time accumulate in locals and flush to the shared atomics once,
-// in the destructor, so the row-at-a-time hot loop pays no atomics per row.
+// in the destructor, so the per-batch hot loop pays no atomics.
 
 /// Crude in-memory size of `rows` rows of `schema` — the same fixed
 /// per-value width the planner's cost model assumes, so estimate and actual
@@ -558,32 +381,6 @@ int64_t ApproxRowsBytes(const SchemaPtr& schema, int64_t rows) {
       schema == nullptr ? 1 : std::max(1, schema->num_fields());
   return rows * width * 16;
 }
-
-class StatsRowIterator final : public RowIterator {
- public:
-  StatsRowIterator(RowIteratorPtr child, OperatorActuals* actuals)
-      : child_(std::move(child)), actuals_(actuals) {}
-
-  ~StatsRowIterator() override {
-    actuals_->AddRows(rows_);
-    actuals_->AddMicros(micros_);
-    actuals_->AddInvocation();
-  }
-
-  Result<bool> Next(Row* out) override {
-    Stopwatch watch;
-    auto has = child_->Next(out);
-    micros_ += watch.ElapsedMicros();
-    if (has.ok() && *has) ++rows_;
-    return has;
-  }
-
- private:
-  RowIteratorPtr child_;
-  OperatorActuals* actuals_;
-  int64_t rows_ = 0;
-  int64_t micros_ = 0;
-};
 
 class StatsBatchIterator final : public BatchIterator {
  public:
@@ -628,8 +425,8 @@ struct Executor::PipelineState {
     // Repartition mode: per-worker probe slices and hash tables.
     std::vector<std::vector<Row>> probe_partitions;
     std::vector<std::shared_ptr<const JoinHashTable>> worker_tables;
-    // Vectorized mode: the build rows as ColumnBatches, gathered from
-    // during probe instead of boxing build rows per match.
+    // The build rows as ColumnBatches, gathered from during probe instead
+    // of boxing build rows per match.
     std::shared_ptr<const ColumnBatch> broadcast_batch;
     std::vector<std::shared_ptr<const ColumnBatch>> worker_batches;
   };
@@ -645,15 +442,9 @@ struct Executor::PipelineState {
 
 Executor::Executor(int num_workers, ClusterPtr cluster,
                    MetricsRegistry* metrics)
-    : Executor(num_workers, std::move(cluster), metrics,
-               VectorizedSqlEnabled()) {}
-
-Executor::Executor(int num_workers, ClusterPtr cluster,
-                   MetricsRegistry* metrics, bool vectorized)
     : num_workers_(num_workers),
       cluster_(std::move(cluster)),
-      metrics_(metrics != nullptr ? metrics : &MetricsRegistry::Global()),
-      vectorized_(vectorized) {
+      metrics_(metrics != nullptr ? metrics : &MetricsRegistry::Global()) {
   SQLINK_CHECK(num_workers_ > 0);
 }
 
@@ -694,8 +485,7 @@ Result<PartitionedRows> Executor::ExecuteNode(const PlanPtr& plan) {
   RETURN_IF_ERROR(CheckCancelled());
   switch (plan->kind) {
     case PlanKind::kDistinct:
-      return vectorized_ ? ExecuteDistinctVectorized(plan)
-                         : ExecuteDistinct(plan);
+      return ExecuteDistinct(plan);
     case PlanKind::kAggregate:
       return ExecuteAggregate(plan);
     case PlanKind::kSort:
@@ -752,7 +542,7 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       return Status::OK();
     case PlanKind::kHashJoin: {
       // Sort-merge choice (cost-based, equi keys only): materialize the
-      // merged result here so both engine modes pipeline over it.
+      // merged result here and pipeline over it.
       if (plan->join_algo == JoinAlgo::kSortMerge && !plan->left_keys.empty()) {
         Stopwatch merge_watch;
         ASSIGN_OR_RETURN(PartitionedRows rows, ExecuteMergeJoin(plan));
@@ -777,14 +567,12 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
           actuals->AddBuildRows(build_rows);
           actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
         }
-        if (vectorized_) {
-          ASSIGN_OR_RETURN(
-              ColumnBatch batch,
-              ColumnBatch::FromRows(build_schema,
-                                    artifact.broadcast_table->rows()));
-          artifact.broadcast_batch =
-              std::make_shared<const ColumnBatch>(std::move(batch));
-        }
+        ASSIGN_OR_RETURN(
+            ColumnBatch batch,
+            ColumnBatch::FromRows(build_schema,
+                                  artifact.broadcast_table->rows()));
+        artifact.broadcast_batch =
+            std::make_shared<const ColumnBatch>(std::move(batch));
         state->joins.emplace(plan.get(), std::move(artifact));
         return Prepare(plan->children[0], state);
       }
@@ -800,16 +588,14 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       ParallelFor(static_cast<size_t>(num_workers_), [&](size_t w) {
         artifact.worker_tables[w] = std::make_shared<const JoinHashTable>(
             std::move(build_parts[w]), plan->right_keys);
-        if (vectorized_) {
-          auto batch = ColumnBatch::FromRows(build_schema,
-                                             artifact.worker_tables[w]->rows());
-          if (!batch.ok()) {
-            batch_status[w] = batch.status();
-            return;
-          }
-          artifact.worker_batches[w] =
-              std::make_shared<const ColumnBatch>(std::move(batch).value());
+        auto batch = ColumnBatch::FromRows(build_schema,
+                                           artifact.worker_tables[w]->rows());
+        if (!batch.ok()) {
+          batch_status[w] = batch.status();
+          return;
         }
+        artifact.worker_batches[w] =
+            std::make_shared<const ColumnBatch>(std::move(batch).value());
       });
       for (const Status& s : batch_status) RETURN_IF_ERROR(s);
       if (OperatorActuals* actuals = NodeActuals(plan)) {
@@ -833,96 +619,14 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
   }
 }
 
-Result<RowIteratorPtr> Executor::BuildPipeline(const PlanPtr& plan, int worker,
-                                               PipelineState* state) {
-  ASSIGN_OR_RETURN(RowIteratorPtr it, BuildPipelineNode(plan, worker, state));
-  OperatorActuals* actuals = NodeActuals(plan);
-  // Materialized nodes recorded their actuals on the blocking Execute path;
-  // wrapping the replay iterator would double-count them.
-  if (actuals == nullptr || state->materialized.count(plan.get()) > 0) {
-    return it;
-  }
-  return RowIteratorPtr(new StatsRowIterator(std::move(it), actuals));
-}
-
-Result<RowIteratorPtr> Executor::BuildPipelineNode(const PlanPtr& plan,
-                                                   int worker,
-                                                   PipelineState* state) {
-  // A node pre-materialized by Prepare (blocking op inside the pipeline).
-  auto materialized = state->materialized.find(plan.get());
-  if (materialized != state->materialized.end()) {
-    return RowIteratorPtr(
-        new VectorIterator(&materialized->second.partitions[worker]));
-  }
-  switch (plan->kind) {
-    case PlanKind::kScan:
-    case PlanKind::kMaterialized: {
-      if (static_cast<size_t>(worker) >= plan->table->num_partitions()) {
-        return RowIteratorPtr(new EmptyIterator());
-      }
-      return RowIteratorPtr(new VectorIterator(
-          &plan->table->partition(static_cast<size_t>(worker))));
-    }
-    case PlanKind::kFilter: {
-      ASSIGN_OR_RETURN(RowIteratorPtr child,
-                       BuildPipeline(plan->children[0], worker, state));
-      return RowIteratorPtr(
-          new FilterIterator(std::move(child), plan->predicate));
-    }
-    case PlanKind::kProject: {
-      ASSIGN_OR_RETURN(RowIteratorPtr child,
-                       BuildPipeline(plan->children[0], worker, state));
-      return RowIteratorPtr(
-          new ProjectIterator(std::move(child), &plan->projections));
-    }
-    case PlanKind::kHashJoin: {
-      auto it = state->joins.find(plan.get());
-      if (it == state->joins.end()) {
-        return Status::Internal("join not prepared");
-      }
-      PipelineState::JoinArtifact& artifact = it->second;
-      if (artifact.broadcast) {
-        ASSIGN_OR_RETURN(RowIteratorPtr probe,
-                         BuildPipeline(plan->children[0], worker, state));
-        return RowIteratorPtr(
-            new HashJoinIterator(std::move(probe), artifact.broadcast_table,
-                                 &plan->left_keys, plan->residual));
-      }
-      RowIteratorPtr probe(new VectorIterator(
-          &artifact.probe_partitions[static_cast<size_t>(worker)]));
-      return RowIteratorPtr(new HashJoinIterator(
-          std::move(probe), artifact.worker_tables[static_cast<size_t>(worker)],
-          &plan->left_keys, plan->residual));
-    }
-    case PlanKind::kTableUdf: {
-      RowIteratorPtr input;
-      if (!plan->children.empty()) {
-        ASSIGN_OR_RETURN(input,
-                         BuildPipeline(plan->children[0], worker, state));
-      }
-      TableUdfContext context;
-      context.worker_id = worker;
-      context.num_workers = num_workers_;
-      context.cluster = cluster_;
-      context.metrics = metrics_;
-      context.query_id = query_id_;
-      context.cancellation = cancellation_;
-      context.spill_budget = spill_budget_;
-      return RowIteratorPtr(
-          new UdfPartitionIterator(plan->udf, context, std::move(input)));
-    }
-    default:
-      return Status::Internal("unexpected plan kind in pipeline: " +
-                              plan->ToString());
-  }
-}
-
 Result<BatchIteratorPtr> Executor::BuildBatchPipeline(const PlanPtr& plan,
                                                       int worker,
                                                       PipelineState* state) {
   ASSIGN_OR_RETURN(BatchIteratorPtr it,
                    BuildBatchPipelineNode(plan, worker, state));
   OperatorActuals* actuals = NodeActuals(plan);
+  // Materialized nodes recorded their actuals on the blocking Execute path;
+  // wrapping the replay iterator would double-count them.
   if (actuals == nullptr || state->materialized.count(plan.get()) > 0) {
     return it;
   }
@@ -931,6 +635,7 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipeline(const PlanPtr& plan,
 
 Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
     const PlanPtr& plan, int worker, PipelineState* state) {
+  // A node pre-materialized by Prepare (blocking op inside the pipeline).
   auto materialized = state->materialized.find(plan.get());
   if (materialized != state->materialized.end()) {
     return BatchIteratorPtr(new RowVectorBatchIterator(
@@ -1016,7 +721,7 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
   output.partitions.resize(static_cast<size_t>(num_workers_));
 
   Status run_status = prepare_status;
-  if (run_status.ok() && vectorized_) {
+  if (run_status.ok()) {
     run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
       ASSIGN_OR_RETURN(BatchIteratorPtr it,
                        BuildBatchPipeline(plan, worker, &state));
@@ -1035,24 +740,6 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
           batch.EmitRow(r, &row);
           out.push_back(row);
         }
-      }
-      return Status::OK();
-    });
-  } else if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(RowIteratorPtr it, BuildPipeline(plan, worker, &state));
-      std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
-      Row row;
-      int64_t since_check = 0;
-      for (;;) {
-        if (++since_check >= 1024) {  // Row mode: poll every ~1k rows.
-          since_check = 0;
-          (void)SQLINK_FAILPOINT("sql.exec.batch");
-          RETURN_IF_ERROR(CheckCancelled());
-        }
-        ASSIGN_OR_RETURN(bool has, it->Next(&row));
-        if (!has) break;
-        out.push_back(std::move(row));
       }
       return Status::OK();
     });
@@ -1078,45 +765,9 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
 }
 
 Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-
-  // Local dedup, shuffle by whole-row hash, final dedup per partition.
-  ParallelFor(input.partitions.size(), [&](size_t p) {
-    std::map<Row, bool, RowLess> seen;
-    for (Row& row : input.partitions[p]) {
-      seen.emplace(std::move(row), true);
-    }
-    input.partitions[p].clear();
-    for (auto& [row, unused] : seen) {
-      input.partitions[p].push_back(row);
-    }
-  });
-
-  std::vector<int> all_columns;
-  for (int i = 0; i < plan->output_schema->num_fields(); ++i) {
-    all_columns.push_back(i);
-  }
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions = Repartition(std::move(input.partitions), all_columns);
-  ParallelFor(output.partitions.size(), [&](size_t p) {
-    std::map<Row, bool, RowLess> seen;
-    for (Row& row : output.partitions[p]) {
-      seen.emplace(std::move(row), true);
-    }
-    output.partitions[p].clear();
-    for (auto& [row, unused] : seen) {
-      output.partitions[p].push_back(row);
-    }
-  });
-  return output;
-}
-
-Result<PartitionedRows> Executor::ExecuteDistinctVectorized(
-    const PlanPtr& plan) {
-  // Same two-phase shape as ExecuteDistinct, but the child runs as a batch
-  // pipeline and dedup works on unboxed ColumnBatch rows: local dedup per
-  // worker, shuffle unique rows by content hash, final dedup per target.
+  // Two phases over unboxed ColumnBatch rows: the child runs as a batch
+  // pipeline with local dedup per worker, unique rows shuffle by content
+  // hash, and each target dedups again.
   const PlanPtr& child = plan->children[0];
   const size_t n = static_cast<size_t>(num_workers_);
 
@@ -1432,7 +1083,7 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
   std::vector<std::vector<Row>> partials(input.partitions.size());
   Status status = ParallelWorkers(
       static_cast<int>(input.partitions.size()), [&](int p) -> Status {
-        std::map<Row, std::vector<AggState>, RowLess> groups;
+        std::map<Row, std::vector<AggState>> groups;  // Value ordering.
         for (const Row& row : input.partitions[static_cast<size_t>(p)]) {
           Row key;
           key.reserve(num_keys);
@@ -1475,7 +1126,7 @@ Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
   output.schema = plan->output_schema;
   output.partitions.resize(static_cast<size_t>(num_workers_));
   status = ParallelWorkers(num_workers_, [&](int w) -> Status {
-    std::map<Row, std::vector<AggState>, RowLess> groups;
+    std::map<Row, std::vector<AggState>> groups;
     Row key;
     std::vector<AggState> states;
     for (const Row& partial : shuffled[static_cast<size_t>(w)]) {
@@ -1543,21 +1194,27 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
     Status status;
     for (int worker = 0; worker < num_workers_ && remaining > 0 && status.ok();
          ++worker) {
-      auto it = BuildPipeline(child, worker, &state);
+      auto it = BuildBatchPipeline(child, worker, &state);
       if (!it.ok()) {
         status = it.status();
         break;
       }
+      ColumnBatch batch;
       Row row;
       while (remaining > 0) {
-        auto has = (*it)->Next(&row);
+        auto has = (*it)->Next(&batch);
         if (!has.ok()) {
           status = has.status();
           break;
         }
         if (!*has) break;
-        output.partitions[0].push_back(std::move(row));
-        --remaining;
+        const size_t take =
+            std::min(batch.num_rows(), static_cast<size_t>(remaining));
+        for (size_t r = 0; r < take; ++r) {
+          batch.EmitRow(r, &row);
+          output.partitions[0].push_back(row);
+        }
+        remaining -= static_cast<int64_t>(take);
       }
     }
     for (const TableUdfPtr& udf : state.udfs_to_finish) {

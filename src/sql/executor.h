@@ -40,26 +40,18 @@ struct PartitionedRows {
 };
 
 /// Parallel plan executor. Each of the n SQL workers runs a pipelined
-/// iterator chain over its partition; pipeline breakers (join builds,
-/// repartition joins, DISTINCT, aggregation, sort, limit) materialize and
-/// exchange rows between workers. Table UDFs stay pipelined: each worker
-/// pumps its UDF on a dedicated thread through a bounded queue, so a
-/// streaming-transfer UDF overlaps with the upstream query work exactly as
-/// the paper's insql+stream pipeline does.
-///
-/// Two engine modes share the planner and all blocking operators. The row
-/// mode chains RowIterator operators; the vectorized mode (default, gated
-/// by SQLINK_VECTORIZED_SQL) chains BatchIterator operators over
-/// ColumnBatch with selection-vector filters and gather-based joins, and
-/// feeds batch-capable table UDFs columns directly. Both must produce
-/// identical results — tests/sql_differential_test.cc holds them to it.
+/// BatchIterator chain over its partition: ColumnBatch operators with
+/// selection-vector filters and gather-based joins, feeding table UDFs
+/// columns directly. Pipeline breakers (join builds, repartition joins,
+/// DISTINCT, aggregation, sort, limit) materialize and exchange rows
+/// between workers. Table UDFs stay pipelined: each worker pumps its UDF on
+/// a dedicated thread through a bounded queue, so a streaming-transfer UDF
+/// overlaps with the upstream query work exactly as the paper's
+/// insql+stream pipeline does. tests/sql_differential_test.cc holds results
+/// to a single-threaded reference interpreter (tests/sql_reference.h).
 class Executor {
  public:
-  /// Engine mode follows the SQLINK_VECTORIZED_SQL runtime flag.
   Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics);
-  /// Engine mode forced by the caller (benchmarks, differential tests).
-  Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics,
-           bool vectorized);
 
   /// Runs the plan and returns its materialized, partitioned result.
   Result<PartitionedRows> Execute(const PlanPtr& plan);
@@ -71,10 +63,10 @@ class Executor {
   /// Id of the tracked query (flows to table UDFs via TableUdfContext).
   void set_query_id(uint64_t query_id) { query_id_ = query_id; }
   /// Cooperative cancellation source for this query. Worker loops poll it
-  /// between batches (or every ~1k rows) and blocking operators check it
-  /// up front, so a cancelled query unwinds promptly without disturbing
-  /// neighbors. Not owned; must outlive Execute(). Also flows to table
-  /// UDFs via TableUdfContext.
+  /// between batches and blocking operators check it up front, so a
+  /// cancelled query unwinds promptly without disturbing neighbors. Not
+  /// owned; must outlive Execute(). Also flows to table UDFs via
+  /// TableUdfContext.
   void set_cancellation(Cancellation* cancellation) {
     cancellation_ = cancellation;
   }
@@ -85,7 +77,6 @@ class Executor {
   }
 
   int num_workers() const { return num_workers_; }
-  bool vectorized() const { return vectorized_; }
 
  private:
   struct PipelineState;
@@ -99,7 +90,6 @@ class Executor {
   Result<PartitionedRows> ExecuteNode(const PlanPtr& plan);
   Result<PartitionedRows> ExecutePipeline(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteDistinct(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteDistinctVectorized(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteAggregate(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteSort(const PlanPtr& plan);
   Result<PartitionedRows> ExecuteLimit(const PlanPtr& plan);
@@ -110,13 +100,9 @@ class Executor {
   Result<PartitionedRows> ExecuteMergeJoin(const PlanPtr& plan);
 
   Status Prepare(const PlanPtr& plan, PipelineState* state);
-  Result<RowIteratorPtr> BuildPipeline(const PlanPtr& plan, int worker,
-                                       PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipeline(const PlanPtr& plan, int worker,
                                               PipelineState* state);
   /// Operator construction for one node, without the stats wrapper.
-  Result<RowIteratorPtr> BuildPipelineNode(const PlanPtr& plan, int worker,
-                                           PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipelineNode(const PlanPtr& plan,
                                                   int worker,
                                                   PipelineState* state);
@@ -128,7 +114,6 @@ class Executor {
   int num_workers_;
   ClusterPtr cluster_;
   MetricsRegistry* metrics_;
-  bool vectorized_;
   QueryStats* stats_ = nullptr;
   uint64_t query_id_ = 0;
   Cancellation* cancellation_ = nullptr;

@@ -68,6 +68,9 @@ class NameScope {
 class BoundExpr {
  public:
   virtual ~BoundExpr() = default;
+  /// Row evaluation: defines the expression's semantics. Used by
+  /// aggregation, the merge-join residual, planner constant folding and
+  /// the reference interpreter in tests/sql_reference.h.
   virtual Result<Value> Evaluate(const Row& row) const = 0;
 
   /// Vectorized evaluation: computes this expression for every row of
@@ -77,8 +80,8 @@ class BoundExpr {
   /// (tests/sql_differential_test.cc) enforces this. The base implementation
   /// boxes each row and calls Evaluate — nodes with typed kernels override.
   /// Nodes whose row semantics short-circuit (AND/OR) fall back to the boxed
-  /// loop when eager evaluation of a branch errors, so an error the row
-  /// engine never reaches is not surfaced by the vectorized one.
+  /// loop when eager evaluation of a branch errors, so an error row
+  /// Evaluate never reaches is not surfaced by the batch one.
   virtual Status EvaluateBatch(const ColumnBatch& batch, Column* out) const;
 
   DataType output_type() const { return output_type_; }

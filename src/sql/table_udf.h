@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "sql/batch_iterator.h"
-#include "sql/row_iterator.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -61,19 +60,14 @@ class TableUdf {
   virtual Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                                  const std::vector<Value>& args) = 0;
 
-  /// Processes one worker's partition. `input` is null for source UDFs.
+  /// Processes one worker's partition: `input` is that worker's columnar
+  /// pipeline (null for source UDFs) and `output` accepts whole batches as
+  /// well as rows. Batch-native UDFs (the coding UDFs,
+  /// recode_local_distinct, the streaming sink) work on ColumnBatch
+  /// directly, so no cell is boxed between the join and the UDF's consumer;
+  /// per-row UDFs read their input through a BatchToRowIterator.
   virtual Status ProcessPartition(const TableUdfContext& context,
-                                  RowIterator* input, RowSink* output) = 0;
-
-  /// Batch variant, called by the vectorized executor: `input` is a
-  /// columnar pipeline (null for source UDFs) and `output` accepts whole
-  /// batches as well as rows. The default adapts batches to rows and
-  /// delegates to ProcessPartition; UDFs that work on ColumnBatch directly
-  /// (the coding UDFs, recode_local_distinct, the streaming sink) override
-  /// it so no cell is boxed between the join and the UDF's consumer.
-  virtual Status ProcessPartitionBatches(const TableUdfContext& context,
-                                         BatchIterator* input,
-                                         BatchSink* output);
+                                  BatchIterator* input, BatchSink* output) = 0;
 
   /// Runs once after all workers returned (success or failure).
   virtual Status Finish() { return Status::OK(); }

@@ -182,10 +182,17 @@ Status TcpSocket::RecvExactly(size_t n, std::string* out) {
       Close();
       return Status::NetworkError("failpoint: recv socket closed");
   }
-  out->resize(n);
+  // `n` is usually a peer-supplied frame length: commit memory only as the
+  // bytes arrive. Start at 64 KiB (one resize covers any smaller frame) and
+  // at most double when the buffer fills, so a forged length costs what
+  // the peer actually sent, not what it claimed.
+  constexpr size_t kInitialBytes = 64 << 10;
+  out->resize(std::min(n, kInitialBytes));
   size_t received = 0;
   while (received < n) {
-    const ssize_t got = ::recv(fd_, out->data() + received, n - received, 0);
+    if (received == out->size()) out->resize(std::min(n, 2 * out->size()));
+    const ssize_t got =
+        ::recv(fd_, out->data() + received, out->size() - received, 0);
     if (got < 0) {
       if (errno == EINTR) continue;
       return PeerError("recv");

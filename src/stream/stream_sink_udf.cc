@@ -39,8 +39,6 @@ class FrameBatcher {
                FrameBufferPool* pool)
       : batch_(std::move(schema)), encoder_(encoder), pool_(pool) {}
 
-  Status Add(const Row& row) { return batch_.AppendRow(row); }
-
   /// Appends the selected rows of a ColumnBatch by gathering columns.
   Status AddRows(const ColumnBatch& batch, const int32_t* rows, size_t n) {
     return batch_.AppendGather(batch, rows, n);
@@ -207,23 +205,11 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
 }
 
 Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
-                                          RowIterator* input,
-                                          RowSink* output) {
-  return RunTransfer(context, input, /*batches=*/nullptr, output);
-}
-
-Status SqlStreamSinkUdf::ProcessPartitionBatches(const TableUdfContext& context,
-                                                 BatchIterator* input,
-                                                 BatchSink* output) {
+                                          BatchIterator* input,
+                                          BatchSink* output) {
   if (input == nullptr) {
     return Status::InvalidArgument("sql_stream_sink needs an input relation");
   }
-  return RunTransfer(context, /*rows=*/nullptr, input, output);
-}
-
-Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
-                                     RowIterator* input,
-                                     BatchIterator* batches, RowSink* output) {
   // Per-partition root of the SQL side of the trace. Every frame this
   // worker sends (registration, schema, data) carries a descendant of this
   // span, so the coordinator and the ML reader join the same trace.
@@ -698,72 +684,53 @@ Status SqlStreamSinkUdf::RunTransfer(const TableUdfContext& context,
     bytes_sent += static_cast<int64_t>(frame.size());
     return queues[j]->Push(std::move(frame));
   };
-  if (batches != nullptr) {
-    // Batch path: per-row round-robin routing identical to the row path,
-    // but each target receives its slice of the batch as one gather — no
-    // row is ever boxed.
-    ColumnBatch batch;
-    std::vector<std::vector<int32_t>> target_sel(static_cast<size_t>(k));
-    // Feeds one target's slice in threshold-sized chunks so frame sizes
-    // stay near send_buffer_bytes, exactly like the per-row flush check —
-    // spill/backpressure behavior must not depend on the engine mode.
-    auto add_slice = [&](size_t j, const ColumnBatch& src,
-                         const std::vector<int32_t>& sel) -> Status {
-      const double avg_row_bytes =
-          src.num_rows() > 0
-              ? std::max(1.0, static_cast<double>(src.ByteSize()) /
-                                  static_cast<double>(src.num_rows()))
-              : 1.0;
-      size_t off = 0;
-      while (off < sel.size()) {
-        FrameBatcher& batcher = batchers[j];
-        const size_t room = options_.send_buffer_bytes > batcher.bytes()
-                                ? options_.send_buffer_bytes - batcher.bytes()
-                                : 0;
-        size_t take = std::max<size_t>(
-            1, static_cast<size_t>(static_cast<double>(room) / avg_row_bytes));
-        take = std::min(take, sel.size() - off);
-        RETURN_IF_ERROR(batcher.AddRows(src, sel.data() + off, take));
-        rows_sent += static_cast<int64_t>(take);
-        RETURN_IF_ERROR(maybe_flush(j));
-        off += take;
-      }
-      return Status::OK();
-    };
-    for (;;) {
-      auto has = batches->Next(&batch);
-      if (!has.ok()) {
-        produce_status = has.status();
-        break;
-      }
-      if (!*has) break;
-      for (auto& sel : target_sel) sel.clear();
-      for (size_t r = 0; r < batch.num_rows(); ++r) {
-        target_sel[next_target].push_back(static_cast<int32_t>(r));
-        next_target = (next_target + 1) % static_cast<size_t>(k);
-      }
-      for (size_t j = 0; j < target_sel.size() && produce_status.ok(); ++j) {
-        if (target_sel[j].empty()) continue;
-        produce_status = add_slice(j, batch, target_sel[j]);
-      }
-      if (!produce_status.ok()) break;
+  // Per-row round-robin routing; each target receives its slice of the
+  // batch as one gather, so no row is ever boxed.
+  ColumnBatch batch;
+  std::vector<std::vector<int32_t>> target_sel(static_cast<size_t>(k));
+  // Feeds one target's slice in threshold-sized chunks so frame sizes
+  // stay near send_buffer_bytes whatever the batch size — spill and
+  // backpressure behavior follow the configured buffer, not the batching.
+  auto add_slice = [&](size_t j, const ColumnBatch& src,
+                       const std::vector<int32_t>& sel) -> Status {
+    const double avg_row_bytes =
+        src.num_rows() > 0
+            ? std::max(1.0, static_cast<double>(src.ByteSize()) /
+                                static_cast<double>(src.num_rows()))
+            : 1.0;
+    size_t off = 0;
+    while (off < sel.size()) {
+      FrameBatcher& batcher = batchers[j];
+      const size_t room = options_.send_buffer_bytes > batcher.bytes()
+                              ? options_.send_buffer_bytes - batcher.bytes()
+                              : 0;
+      size_t take = std::max<size_t>(
+          1, static_cast<size_t>(static_cast<double>(room) / avg_row_bytes));
+      take = std::min(take, sel.size() - off);
+      RETURN_IF_ERROR(batcher.AddRows(src, sel.data() + off, take));
+      rows_sent += static_cast<int64_t>(take);
+      RETURN_IF_ERROR(maybe_flush(j));
+      off += take;
     }
-  } else {
-    Row row;
-    for (;;) {
-      auto has = input->Next(&row);
-      if (!has.ok()) {
-        produce_status = has.status();
-        break;
-      }
-      if (!*has) break;
-      produce_status = batchers[next_target].Add(row);
-      if (!produce_status.ok()) break;
-      ++rows_sent;
-      produce_status = maybe_flush(next_target);
-      if (!produce_status.ok()) break;
+    return Status::OK();
+  };
+  for (;;) {
+    auto has = input->Next(&batch);
+    if (!has.ok()) {
+      produce_status = has.status();
+      break;
+    }
+    if (!*has) break;
+    for (auto& sel : target_sel) sel.clear();
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      target_sel[next_target].push_back(static_cast<int32_t>(r));
       next_target = (next_target + 1) % static_cast<size_t>(k);
     }
+    for (size_t j = 0; j < target_sel.size() && produce_status.ok(); ++j) {
+      if (target_sel[j].empty()) continue;
+      produce_status = add_slice(j, batch, target_sel[j]);
+    }
+    if (!produce_status.ok()) break;
   }
   if (produce_status.ok()) {
     for (size_t j = 0; j < batchers.size(); ++j) {

@@ -58,23 +58,16 @@ class SqlStreamSinkUdf final : public TableUdf {
 
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
-  /// Vectorized-engine entry: consumes ColumnBatches directly — rows are
-  /// gathered column-wise into frame batches without ever being boxed. Row
-  /// routing is identical to ProcessPartition.
-  Status ProcessPartitionBatches(const TableUdfContext& context,
-                                 BatchIterator* input,
-                                 BatchSink* output) override;
+  /// Consumes ColumnBatches directly: rows are routed round-robin to the
+  /// worker's k data channels and gathered column-wise into frame batches
+  /// without ever being boxed.
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override;
 
   /// Schema of the per-worker summary row.
   static SchemaPtr SummarySchema();
 
  private:
-  /// Shared transfer body; exactly one of `rows`/`batches` is non-null.
-  Status RunTransfer(const TableUdfContext& context, RowIterator* rows,
-                     BatchIterator* batches, RowSink* output);
-
   std::string coordinator_host_;
   int coordinator_port_ = 0;
   std::string command_;

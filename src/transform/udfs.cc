@@ -44,33 +44,12 @@ Result<SchemaPtr> RecodeLocalDistinctUdf::Bind(const SchemaPtr& input_schema,
 }
 
 Status RecodeLocalDistinctUdf::ProcessPartition(const TableUdfContext& context,
-                                                RowIterator* input,
-                                                RowSink* output) {
+                                                BatchIterator* input,
+                                                BatchSink* output) {
   (void)context;
   // One local scan computes the distinct values of *all* columns (§2.1).
   // Each column's seen-set is an open-addressing StringDict: one hash and
   // no node or string allocation per already-seen value.
-  std::vector<StringDict> seen(column_indices_.size());
-  Row row;
-  for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
-    if (!has) break;
-    for (size_t c = 0; c < column_indices_.size(); ++c) {
-      const Value& value = row[static_cast<size_t>(column_indices_[c])];
-      if (value.is_null()) continue;
-      const int32_t before = seen[c].size();
-      if (seen[c].GetOrAdd(value.string_value()) == before) {
-        RETURN_IF_ERROR(output->Push(Row{Value::String(column_names_[c]),
-                                         value}));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status RecodeLocalDistinctUdf::ProcessPartitionBatches(
-    const TableUdfContext& context, BatchIterator* input, BatchSink* output) {
-  (void)context;
   std::vector<StringDict> seen(column_indices_.size());
   std::vector<uint8_t> code_seen;  // Per dictionary code of one batch.
   ColumnBatch batch;
@@ -120,13 +99,15 @@ Result<SchemaPtr> RecodeAssignUdf::Bind(const SchemaPtr& input_schema,
 }
 
 Status RecodeAssignUdf::ProcessPartition(const TableUdfContext& context,
-                                         RowIterator* input, RowSink* output) {
+                                         BatchIterator* input,
+                                         BatchSink* output) {
   (void)context;
   std::map<std::string, int64_t> counters;
   bool counted = false;
+  BatchToRowIterator rows(input);
   Row row;
   for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
+    ASSIGN_OR_RETURN(bool has, rows.Next(&row));
     if (!has) break;
     if (!counted) {
       counted = true;
@@ -197,44 +178,7 @@ Result<SchemaPtr> CodeApplyUdf::Bind(const SchemaPtr& input_schema,
 }
 
 Status CodeApplyUdf::ProcessPartition(const TableUdfContext& context,
-                                      RowIterator* input, RowSink* output) {
-  (void)context;
-  const DataType generated_type = this->generated_type();
-  Row row;
-  for (;;) {
-    ASSIGN_OR_RETURN(bool has, input->Next(&row));
-    if (!has) break;
-    Row out;
-    for (size_t i = 0; i < row.size(); ++i) {
-      const int coded_index = dispatch_[i];
-      if (coded_index < 0) {
-        out.push_back(std::move(row[i]));
-        continue;
-      }
-      const BoundColumn& bound = coded_[static_cast<size_t>(coded_index)];
-      if (!row[i].is_int64()) {
-        return Status::InvalidArgument("coded column has non-integer value");
-      }
-      const int64_t level = row[i].int64_value();
-      if (level < 1 || level > bound.cardinality) {
-        return Status::OutOfRange(
-            "recoded value " + std::to_string(level) + " outside [1, " +
-            std::to_string(bound.cardinality) + "]");
-      }
-      for (double v : bound.matrix[static_cast<size_t>(level - 1)]) {
-        out.push_back(generated_type == DataType::kDouble
-                          ? Value::Double(v)
-                          : Value::Int64(static_cast<int64_t>(v)));
-      }
-    }
-    RETURN_IF_ERROR(output->Push(std::move(out)));
-  }
-  return Status::OK();
-}
-
-Status CodeApplyUdf::ProcessPartitionBatches(const TableUdfContext& context,
-                                             BatchIterator* input,
-                                             BatchSink* output) {
+                                      BatchIterator* input, BatchSink* output) {
   (void)context;
   ColumnBatch in;
   std::vector<Column> generated;

@@ -24,15 +24,11 @@ class RecodeLocalDistinctUdf final : public TableUdf {
  public:
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  /// Row engine: one seen-set probe per non-NULL cell.
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
-  /// Vectorized engine: dedups each batch over its dictionary codes first,
-  /// so the seen-set is probed once per distinct value per batch; newly
-  /// seen pairs leave as one batch per input batch.
-  Status ProcessPartitionBatches(const TableUdfContext& context,
-                                 BatchIterator* input,
-                                 BatchSink* output) override;
+  /// Dedups each batch over its dictionary codes first, so the seen-set is
+  /// probed once per distinct value per batch; newly seen pairs leave as
+  /// one batch per input batch.
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override;
 
  private:
   std::vector<int> column_indices_;
@@ -52,8 +48,8 @@ class RecodeAssignUdf final : public TableUdf {
  public:
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override;
 
  private:
   std::atomic<int> workers_with_data_{0};
@@ -71,17 +67,12 @@ class CodeApplyUdf final : public TableUdf {
 
   Result<SchemaPtr> Bind(const SchemaPtr& input_schema,
                          const std::vector<Value>& args) override;
-  /// Row engine (SQLINK_VECTORIZED_SQL=off): expands one boxed row at a
-  /// time.
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override;
-  /// Vectorized engine: per input batch, ApplyCodingKernel expands each
-  /// coded column and the pass-through columns move into the output batch
-  /// whole — no cell is copied or boxed. Errors match ProcessPartition's
-  /// (NULL level: InvalidArgument, level outside [1, k]: OutOfRange).
-  Status ProcessPartitionBatches(const TableUdfContext& context,
-                                 BatchIterator* input,
-                                 BatchSink* output) override;
+  /// Per input batch, ApplyCodingKernel expands each coded column and the
+  /// pass-through columns move into the output batch whole — no cell is
+  /// copied or boxed. A NULL level is InvalidArgument, a level outside
+  /// [1, k] OutOfRange.
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override;
 
  private:
   struct BoundColumn {

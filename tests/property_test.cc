@@ -15,12 +15,12 @@
 #include "common/fs_util.h"
 #include "common/random.h"
 #include "common/retry_policy.h"
-#include "common/runtime_flags.h"
 #include "ml/sgd.h"
 #include "rewriter/predicate_logic.h"
 #include "sql/batch_kernels.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
+#include "sql_reference.h"
 #include "stream/replay_window.h"
 #include "stream/spill_queue.h"
 #include "table/csv.h"
@@ -704,7 +704,7 @@ TEST_P(BatchKernelPropertyTest, FilterToSelectionMatchesRowTruthiness) {
   Random rng(GetParam());
   for (int round = 0; round < 20; ++round) {
     // A one-column predicate batch; sometimes deliberately non-bool, which
-    // must select nothing (the row engine's IsTruthy rejects non-bools).
+    // must select nothing (IsTruthy rejects non-bools).
     const DataType type =
         rng.Bernoulli(0.7) ? DataType::kBool
                            : static_cast<DataType>(rng.UniformInt(0, 3));
@@ -816,7 +816,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BatchKernelPropertyTest,
 // ---------------------------------------------------------------------------
 // Costed join choice: whatever strategy the planner picks, the physical
 // join algorithms must be interchangeable. Hash and sort-merge are forced
-// in turn over random tables, in both engine modes, and must agree.
+// in turn over random tables and must each match the reference
+// interpreter (tests/sql_reference.h).
 
 class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
  protected:
@@ -826,8 +827,6 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_TRUE(cluster.ok());
     engine_ = SqlEngine::Make(*cluster);
   }
-
-  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
 
   std::multiset<std::string> Render(const std::vector<Row>& rows) {
     std::multiset<std::string> out;
@@ -842,14 +841,22 @@ class JoinStrategyPropertyTest : public ::testing::TestWithParam<uint64_t> {
     return out;
   }
 
-  std::multiset<std::string> Run(const std::string& sql, JoinStrategy strategy,
-                                 int vectorized) {
+  /// Runs `sql` under `strategy` and checks it against the reference
+  /// evaluation of the same plan; returns the engine's rendered rows.
+  std::multiset<std::string> Run(const std::string& sql,
+                                 JoinStrategy strategy) {
     engine_->set_join_strategy(strategy);
-    SetVectorizedSqlEnabledForTest(vectorized);
-    auto result = engine_->ExecuteSql(sql);
+    auto plan = engine_->Plan(sql);
+    EXPECT_TRUE(plan.ok()) << sql << ": " << plan.status();
+    if (!plan.ok()) return {};
+    auto result = engine_->ExecutePlan(*plan);
+    auto expected = ReferenceEvaluate(*plan);
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status();
-    if (!result.ok()) return {};
-    return Render((*result)->GatherRows());
+    EXPECT_TRUE(expected.ok()) << sql << ": " << expected.status();
+    if (!result.ok() || !expected.ok()) return {};
+    std::multiset<std::string> rows = Render((*result)->GatherRows());
+    EXPECT_EQ(rows, Render(expected->rows)) << sql;
+    return rows;
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
@@ -898,13 +905,8 @@ TEST_P(JoinStrategyPropertyTest, HashAndSortMergeAgreeOnRandomTables) {
       "SELECT a.k, b.label FROM dim a JOIN dim b ON a.label = b.label",
   };
   for (const std::string& sql : queries) {
-    const auto hash_row = Run(sql, JoinStrategy::kHash, 0);
-    const auto hash_vec = Run(sql, JoinStrategy::kHash, 1);
-    const auto merge_row = Run(sql, JoinStrategy::kSortMerge, 0);
-    const auto merge_vec = Run(sql, JoinStrategy::kSortMerge, 1);
-    EXPECT_EQ(hash_row, hash_vec) << sql;
-    EXPECT_EQ(hash_row, merge_row) << sql;
-    EXPECT_EQ(hash_row, merge_vec) << sql;
+    EXPECT_EQ(Run(sql, JoinStrategy::kHash), Run(sql, JoinStrategy::kSortMerge))
+        << sql;
   }
 }
 

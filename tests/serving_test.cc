@@ -97,7 +97,7 @@ TEST(CancellationTest, RemoveCallbackPreventsFiring) {
 
 TEST(TrackedQueryTest, AbandonedQueryStillReachesTerminalState) {
   QueryRegistry registry;
-  QueryRecordPtr record = registry.Begin("SELECT 1", "row", nullptr, 0, "t1");
+  QueryRecordPtr record = registry.Begin("SELECT 1", nullptr, 0, "t1");
   EXPECT_EQ(record->tenant, "t1");
   {
     TrackedQuery tracked(&registry, record);
@@ -113,7 +113,7 @@ TEST(TrackedQueryTest, AbandonedQueryStillReachesTerminalState) {
 
 TEST(TrackedQueryTest, ExplicitFinishWinsOverDestructor) {
   QueryRegistry registry;
-  QueryRecordPtr record = registry.Begin("SELECT 1", "row", nullptr, 0);
+  QueryRecordPtr record = registry.Begin("SELECT 1", nullptr, 0);
   {
     TrackedQuery tracked(&registry, record);
     tracked.Finish(Status::OK(), 1234, 1.0);

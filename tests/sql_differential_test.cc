@@ -1,27 +1,78 @@
-// Row-vs-vectorized differential harness (ISSUE 6 satellite a).
+// Differential harness: the parallel batch executor against a reference.
 //
 // Every query — the committed golden corpus plus hundreds of
-// generator-driven random queries — is executed twice through the same
-// engine, once with the row-at-a-time operators and once with the
-// vectorized ColumnBatch pipeline, and the two results must be identical
-// as unordered multisets. The generator is seeded, so a failure reproduces
-// by rerunning the test; the failing SQL text is printed with the diff.
+// generator-driven random queries — is planned once, executed by the
+// engine, and evaluated by the single-threaded reference interpreter in
+// tests/sql_reference.h over the same plan. The two results must be
+// identical as unordered multisets (SUM/AVG doubles within a relative
+// 1e-9). The generator is seeded, so a failure reproduces by rerunning the
+// test; the failing SQL text is printed with the first differing row.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "common/string_util.h"
 #include "sql/engine.h"
 #include "sql_corpus.h"
+#include "sql_reference.h"
 
 namespace sqlink {
 namespace {
+
+/// Compares an engine result with the reference as multisets of rows.
+/// Values must be identical, except that doubles in the reference's approx
+/// (SUM/AVG) columns may differ by a relative 1e-9. Returns "" on a match,
+/// else the first difference.
+std::string DiffAgainstReference(std::vector<Row> actual,
+                                 const ReferenceResult& expected) {
+  // Exact columns render into the sort key; approx ones are compared below.
+  auto keyed = [&](std::vector<Row> rows) {
+    std::vector<std::pair<std::string, Row>> out;
+    for (Row& row : rows) {
+      std::string key;
+      for (size_t c = 0; c < row.size(); ++c) {
+        const bool approx = c < expected.approx.size() && expected.approx[c];
+        key += approx ? "~" : (row[c].is_null() ? "NULL" : row[c].ToString());
+        key += "|";
+      }
+      out.emplace_back(std::move(key), std::move(row));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto got = keyed(std::move(actual));
+  const auto want = keyed(expected.rows);
+  if (got.size() != want.size()) {
+    return "engine has " + std::to_string(got.size()) + " rows, reference " +
+           std::to_string(want.size());
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    bool same = got[i].first == want[i].first;
+    for (size_t c = 0; same && c < expected.approx.size(); ++c) {
+      if (!expected.approx[c]) continue;
+      const Value& a = got[i].second[c];
+      const Value& b = want[i].second[c];
+      same = a.is_double() && b.is_double()
+                 ? std::fabs(a.double_value() - b.double_value()) <=
+                       1e-9 * std::max(std::fabs(a.double_value()),
+                                       std::fabs(b.double_value()))
+                 : a == b;
+    }
+    if (!same) {
+      return "engine row " + got[i].first + " vs reference row " +
+             want[i].first + " (sorted position " + std::to_string(i) + ")";
+    }
+  }
+  return "";
+}
 
 /// Outcome of one engine run: either a canonical result or an error text.
 struct RunOutcome {
@@ -40,55 +91,53 @@ class SqlDifferentialTest : public ::testing::Test {
     RegisterCorpusTables(engine_.get());
   }
 
-  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
-
-  RunOutcome RunMode(const std::string& sql, int vectorized) {
-    SetVectorizedSqlEnabledForTest(vectorized);
+  /// Plans `sql`, runs the plan on the engine and through the reference
+  /// interpreter, and asserts both succeed with the same rows. Returns the
+  /// engine's outcome for further checks.
+  RunOutcome ExpectMatchesReference(const std::string& sql) {
     RunOutcome outcome;
-    auto result = engine_->ExecuteSql(sql);
-    if (!result.ok()) {
-      outcome.error = result.status().ToString();
+    auto plan = engine_->Plan(sql);
+    if (!plan.ok()) {
+      outcome.error = plan.status().ToString();
+      ADD_FAILURE() << sql << "\nplan error: " << outcome.error;
       return outcome;
     }
+    auto result = engine_->ExecutePlan(*plan);
+    auto expected = ReferenceEvaluate(*plan);
+    if (!result.ok()) outcome.error = result.status().ToString();
+    EXPECT_TRUE(result.ok()) << sql << "\nengine error: " << outcome.error;
+    EXPECT_TRUE(expected.ok())
+        << sql << "\nreference error: " << expected.status().ToString();
+    if (!result.ok() || !expected.ok()) return outcome;
     outcome.ok = true;
-    outcome.canonical = CanonicalResult((*result)->GatherRows());
+    std::vector<Row> rows = (*result)->GatherRows();
+    outcome.canonical = CanonicalResult(rows);
+    const std::string diff = DiffAgainstReference(std::move(rows), *expected);
+    EXPECT_TRUE(diff.empty()) << sql << "\n" << diff;
     return outcome;
-  }
-
-  /// Runs `sql` through both engines and asserts identical outcomes.
-  /// Returns the row-engine outcome for further checks.
-  RunOutcome ExpectEnginesAgree(const std::string& sql) {
-    RunOutcome row = RunMode(sql, 0);
-    RunOutcome vec = RunMode(sql, 1);
-    EXPECT_EQ(row.ok, vec.ok)
-        << sql << "\nrow error: " << row.error << "\nvec error: " << vec.error;
-    if (row.ok && vec.ok) {
-      EXPECT_EQ(row.canonical, vec.canonical) << sql;
-    }
-    return row;
   }
 
   std::unique_ptr<ScopedTempDir> temp_;
   SqlEnginePtr engine_;
 };
 
-TEST_F(SqlDifferentialTest, GoldenCorpusAgreesAcrossEngines) {
+TEST_F(SqlDifferentialTest, GoldenCorpusMatchesReference) {
   auto corpus = LoadQueryCorpus();
   ASSERT_GE(corpus.size(), 14u) << "query corpus missing from " SQLINK_QUERY_DIR;
   const bool update = EnvInt64("SQLINK_UPDATE_GOLDENS", 0) != 0;
   for (const CorpusQuery& query : corpus) {
     SCOPED_TRACE(query.name);
-    RunOutcome row = ExpectEnginesAgree(query.sql);
-    ASSERT_TRUE(row.ok) << query.sql << " -> " << row.error;
+    RunOutcome engine = ExpectMatchesReference(query.sql);
+    ASSERT_TRUE(engine.ok) << query.sql << " -> " << engine.error;
     if (update) {
-      ASSERT_TRUE(WriteFileAtomic(query.expected_path, row.canonical).ok());
+      ASSERT_TRUE(WriteFileAtomic(query.expected_path, engine.canonical).ok());
       continue;
     }
     auto golden = ReadFileToString(query.expected_path);
     ASSERT_TRUE(golden.ok())
         << query.expected_path
         << " missing; regenerate with SQLINK_UPDATE_GOLDENS=1";
-    EXPECT_EQ(row.canonical, *golden) << query.sql;
+    EXPECT_EQ(engine.canonical, *golden) << query.sql;
   }
 }
 
@@ -225,28 +274,27 @@ std::string GenQuery(Random& rng) {
   }
 }
 
-TEST_F(SqlDifferentialTest, GeneratedQueriesAgreeAcrossEngines) {
-  // >= 200 generated queries (ISSUE 6); bump via SQLINK_DIFF_QUERIES.
+TEST_F(SqlDifferentialTest, GeneratedQueriesMatchReference) {
+  // >= 200 generated queries, each compared; bump via SQLINK_DIFF_QUERIES.
   const int64_t total = EnvInt64("SQLINK_DIFF_QUERIES", 220);
-  int executed = 0;
+  int compared = 0;
   for (const uint64_t seed : {1u, 7u, 42u, 1234u}) {
     Random rng(seed);
     for (int64_t i = 0; i < total / 4 + 1; ++i) {
       const std::string sql = GenQuery(rng);
       SCOPED_TRACE("seed=" + std::to_string(seed) + " i=" + std::to_string(i) +
                    "\n" + sql);
-      ExpectEnginesAgree(sql);
-      ++executed;
+      if (ExpectMatchesReference(sql).ok) ++compared;
       if (HasFatalFailure()) return;
     }
   }
-  EXPECT_GE(executed, 200);
+  EXPECT_GE(compared, 200);
 }
 
-// Join-heavy differential sweep pinning the costed join paths against each
-// other: the same queries under forced hash and forced sort-merge strategy,
-// in both engine modes, must all agree.
-TEST_F(SqlDifferentialTest, JoinStrategiesAgreeAcrossEngines) {
+// Join-heavy differential sweep pinning the costed join paths: the same
+// queries under forced hash and forced sort-merge strategy must each match
+// the reference, and so each other.
+TEST_F(SqlDifferentialTest, JoinStrategiesMatchReference) {
   Random rng(99);
   for (int i = 0; i < 30; ++i) {
     const std::string table = kEventTables[rng.Uniform(5)];
@@ -256,17 +304,14 @@ TEST_F(SqlDifferentialTest, JoinStrategiesAgreeAcrossEngines) {
     SCOPED_TRACE(sql);
 
     engine_->set_join_strategy(JoinStrategy::kHash);
-    RunOutcome hash = RunMode(sql, 1);
+    RunOutcome hash = ExpectMatchesReference(sql);
     engine_->set_join_strategy(JoinStrategy::kSortMerge);
-    RunOutcome merge_vec = RunMode(sql, 1);
-    RunOutcome merge_row = RunMode(sql, 0);
+    RunOutcome merge = ExpectMatchesReference(sql);
     engine_->set_join_strategy(JoinStrategy::kAuto);
 
     ASSERT_TRUE(hash.ok) << hash.error;
-    ASSERT_TRUE(merge_vec.ok) << merge_vec.error;
-    ASSERT_TRUE(merge_row.ok) << merge_row.error;
-    EXPECT_EQ(hash.canonical, merge_vec.canonical);
-    EXPECT_EQ(hash.canonical, merge_row.canonical);
+    ASSERT_TRUE(merge.ok) << merge.error;
+    EXPECT_EQ(hash.canonical, merge.canonical);
   }
 }
 

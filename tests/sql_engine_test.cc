@@ -6,7 +6,6 @@
 
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
-#include "common/runtime_flags.h"
 #include "common/status_macros.h"
 #include "common/string_util.h"
 #include "sql/engine.h"
@@ -351,12 +350,13 @@ class PartitionCounterUdf final : public TableUdf {
         {{"worker", DataType::kInt64}, {"cnt", DataType::kInt64}});
   }
 
-  Status ProcessPartition(const TableUdfContext& context, RowIterator* input,
-                          RowSink* output) override {
+  Status ProcessPartition(const TableUdfContext& context, BatchIterator* input,
+                          BatchSink* output) override {
     int64_t count = 0;
+    BatchToRowIterator rows(input);
     Row row;
     for (;;) {
-      auto has = input->Next(&row);
+      auto has = rows.Next(&row);
       RETURN_IF_ERROR(has.status());
       if (!*has) break;
       ++count;
@@ -540,39 +540,33 @@ TEST_F(SqlEngineTest, ExplainStatementReturnsPlanRows) {
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeReportsEstimatedVsActualRows) {
-  // Join + filter + DISTINCT, the acceptance query shape, in both engine
-  // modes: the analyzed root's actual row count must equal the executed
-  // result's cardinality.
+  // Join + filter + DISTINCT, the acceptance query shape: the analyzed
+  // root's actual row count must equal the executed result's cardinality.
   const std::string query =
       "SELECT DISTINCT U.age, U.gender FROM carts C, users U "
       "WHERE C.userid = U.userid AND C.amount > 50";
-  for (int vectorized : {0, 1}) {
-    SCOPED_TRACE(vectorized ? "vectorized" : "row");
-    SetVectorizedSqlEnabledForTest(vectorized);
-    auto executed = engine_->ExecuteSql(query);
-    ASSERT_TRUE(executed.ok()) << executed.status();
-    const size_t expected_rows = (*executed)->TotalRows();
-    ASSERT_GT(expected_rows, 0u);
+  auto executed = engine_->ExecuteSql(query);
+  ASSERT_TRUE(executed.ok()) << executed.status();
+  const size_t expected_rows = (*executed)->TotalRows();
+  ASSERT_GT(expected_rows, 0u);
 
-    auto analyzed = engine_->ExecuteSql("EXPLAIN ANALYZE " + query);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-    std::vector<Row> lines = (*analyzed)->GatherRows();
-    ASSERT_FALSE(lines.empty());
-    // Partition 0 holds the whole rendering in order; the first line is the
-    // root (DISTINCT) node.
-    const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
-    EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
-    EXPECT_NE(root.find("est="), std::string::npos) << root;
-    EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),
-              std::string::npos)
-        << root;
-    // Every node line carries a q-error.
-    for (const Row& row : lines) {
-      EXPECT_NE(row[0].string_value().find("q="), std::string::npos)
-          << row[0].string_value();
-    }
+  auto analyzed = engine_->ExecuteSql("EXPLAIN ANALYZE " + query);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  std::vector<Row> lines = (*analyzed)->GatherRows();
+  ASSERT_FALSE(lines.empty());
+  // Partition 0 holds the whole rendering in order; the first line is the
+  // root (DISTINCT) node.
+  const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
+  EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
+  EXPECT_NE(root.find("est="), std::string::npos) << root;
+  EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),
+            std::string::npos)
+      << root;
+  // Every node line carries a q-error.
+  for (const Row& row : lines) {
+    EXPECT_NE(row[0].string_value().find("q="), std::string::npos)
+        << row[0].string_value();
   }
-  SetVectorizedSqlEnabledForTest(-1);
 }
 
 TEST_F(SqlEngineTest, ExplainAnalyzeTracksQueryInRegistry) {
@@ -617,9 +611,7 @@ TEST_F(SqlEngineTest, CatalogOperations) {
   EXPECT_TRUE(engine_->catalog()->DropTable("carts").IsNotFound());
 }
 
-/// Golden corpus queries against their committed .expected files, under
-/// whatever engine mode (SQLINK_VECTORIZED_SQL) this test run was launched
-/// with — CI runs both modes, so the goldens pin both engines.
+/// Golden corpus queries against their committed .expected files.
 class CorpusGoldenTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -651,36 +643,27 @@ TEST_F(CorpusGoldenTest, QueriesMatchCommittedGoldens) {
 }
 
 /// EXPLAIN goldens: the rendered plan (shape, join strategy, estimates,
-/// costs) for every corpus query is pinned in <name>.explain.expected and
-/// must be byte-identical under both engine modes — the planner is shared,
-/// so a plan that diverges by engine mode is a bug. Regenerate with
-/// SQLINK_UPDATE_GOLDENS=1.
+/// costs) for every corpus query is pinned in <name>.explain.expected.
+/// Regenerate with SQLINK_UPDATE_GOLDENS=1.
 TEST_F(CorpusGoldenTest, ExplainPlansMatchCommittedGoldens) {
   auto corpus = LoadQueryCorpus();
   ASSERT_GE(corpus.size(), 14u);
   const bool update = EnvInt64("SQLINK_UPDATE_GOLDENS", 0) != 0;
   for (const CorpusQuery& query : corpus) {
     SCOPED_TRACE(query.name);
-    SetVectorizedSqlEnabledForTest(0);
-    auto row_plan = engine_->ExplainSql(query.sql);
-    SetVectorizedSqlEnabledForTest(1);
-    auto vec_plan = engine_->ExplainSql(query.sql);
-    SetVectorizedSqlEnabledForTest(-1);
-    ASSERT_TRUE(row_plan.ok()) << query.sql << " -> " << row_plan.status();
-    ASSERT_TRUE(vec_plan.ok()) << query.sql << " -> " << vec_plan.status();
-    EXPECT_EQ(*row_plan, *vec_plan)
-        << query.sql << " plans differ by engine mode";
+    auto plan = engine_->ExplainSql(query.sql);
+    ASSERT_TRUE(plan.ok()) << query.sql << " -> " << plan.status();
 
     const std::string golden_path =
         std::string(SQLINK_QUERY_DIR) + "/" + query.name + ".explain.expected";
     if (update) {
-      ASSERT_TRUE(WriteFileAtomic(golden_path, *row_plan).ok());
+      ASSERT_TRUE(WriteFileAtomic(golden_path, *plan).ok());
       continue;
     }
     auto golden = ReadFileToString(golden_path);
     ASSERT_TRUE(golden.ok())
         << golden_path << " missing; regenerate with SQLINK_UPDATE_GOLDENS=1";
-    EXPECT_EQ(*row_plan, *golden) << query.sql;
+    EXPECT_EQ(*plan, *golden) << query.sql;
   }
 }
 

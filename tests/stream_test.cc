@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <filesystem>
 #include <memory>
@@ -88,6 +89,34 @@ TEST(WireTest, FrameRoundTrip) {
   EXPECT_EQ(end->type, FrameType::kEnd);
   EXPECT_TRUE(end->payload.empty());
   server.join();
+}
+
+// A peer that claims a 512 MiB frame, sends 16 bytes and hangs up must get
+// a typed error without the receiver committing the claimed length.
+TEST(WireTest, ForgedFrameLengthDoesNotAllocateClaimedSize) {
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread peer([&] {
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.ok());
+    char header[kFrameHeaderBytes];
+    EncodeFrameHeader(header, FrameType::kColData, 512u << 20, /*seq=*/0,
+                      /*channel=*/0, TraceContext{});
+    ASSERT_TRUE(
+        conn->SendAll(std::string_view(header, kFrameHeaderBytes)).ok());
+    ASSERT_TRUE(conn->SendAll(std::string(16, 'x')).ok());
+  });  // The peer's socket closes when the thread ends.
+  auto client = TcpConnect("localhost", listener->port());
+  ASSERT_TRUE(client.ok());
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  auto frame = RecvFrame(&*client);
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  peer.join();
+  EXPECT_TRUE(frame.status().IsNetworkError()) << frame.status();
+  const long rise_kib = after.ru_maxrss - before.ru_maxrss;  // KiB on Linux.
+  EXPECT_LT(rise_kib, 64 * 1024);
 }
 
 TEST(WireTest, SchemaSerializationRoundTrip) {

@@ -8,7 +8,6 @@
 #include "cluster/cluster.h"
 #include "common/fs_util.h"
 #include "common/random.h"
-#include "common/runtime_flags.h"
 #include "sql/batch_iterator.h"
 #include "sql/engine.h"
 #include "transform/coding.h"
@@ -383,18 +382,29 @@ TEST_F(TransformUdfTest, RecodedQueryMatchesManualRecoding) {
   }
 }
 
-// --- Batch-native UDFs vs the row path -----------------------------------
+// --- Batch-native UDFs against the table formula --------------------------
 //
-// The vectorized engine runs the coding UDFs and recode_local_distinct
-// batch-native (ProcessPartitionBatches); the row engine runs their
-// ProcessPartition. Both must agree on every input shape.
+// The coding UDFs and recode_local_distinct run batch-native. Their results
+// are checked against what the test computes itself from the generator's
+// row formula (CodesRow) and CodingMatrix, over row counts bracketing the
+// batch size and 1 or 4 workers.
 
 class BatchUdfDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
     temp_ = std::make_unique<ScopedTempDir>("batch_udf_diff");
   }
-  void TearDown() override { SetVectorizedSqlEnabledForTest(-1); }
+
+  /// Row `id` of table `codes`: (id, tag, level, amount, grade, maybe).
+  static Row CodesRow(int64_t id) {
+    return Row{Value::Int64(id),
+               id % 5 == 0 ? Value::Null()
+                           : Value::String("t" + std::to_string(id % 37)),
+               Value::Int64(1 + (id * 7) % 3),
+               id % 9 == 0 ? Value::Null() : Value::Double(id * 0.5),
+               Value::Int64(1 + id % 4),
+               id % 100 == 7 ? Value::Null() : Value::Int64(1 + id % 3)};
+  }
 
   /// A fresh engine over `workers` SQL workers whose table `codes` holds
   /// `rows_per_partition` rows in every partition — so each worker's UDF
@@ -414,36 +424,59 @@ class BatchUdfDifferentialTest : public ::testing::Test {
     auto table = engine->MakeTable("codes", schema);
     for (int p = 0; p < workers; ++p) {
       for (size_t i = 0; i < rows_per_partition; ++i) {
-        const auto id = static_cast<int64_t>(
-            static_cast<size_t>(p) * rows_per_partition + i);
-        table->AppendRow(
-            static_cast<size_t>(p),
-            Row{Value::Int64(id),
-                id % 5 == 0 ? Value::Null()
-                            : Value::String("t" + std::to_string(id % 37)),
-                Value::Int64(1 + (id * 7) % 3),
-                id % 9 == 0 ? Value::Null() : Value::Double(id * 0.5),
-                Value::Int64(1 + id % 4),
-                id % 100 == 7 ? Value::Null() : Value::Int64(1 + id % 3)});
+        table->AppendRow(static_cast<size_t>(p),
+                         CodesRow(static_cast<int64_t>(
+                             static_cast<size_t>(p) * rows_per_partition + i)));
       }
     }
     EXPECT_TRUE(engine->catalog()->RegisterTable(table).ok());
     return engine;
   }
 
-  /// Runs `sql` on the row (0) or vectorized (1) engine; the result rows
-  /// rendered and sorted (a multiset), or the failure.
+  static std::string Render(const Row& row) {
+    std::string rendered;
+    for (const Value& v : row) rendered += v.ToString() + "|";
+    return rendered;
+  }
+
+  /// Runs `sql`; the result rows rendered and sorted (a multiset), or the
+  /// failure.
   static Result<std::vector<std::string>> Run(SqlEngine* engine,
-                                              const std::string& sql,
-                                              int vectorized) {
-    SetVectorizedSqlEnabledForTest(vectorized);
+                                              const std::string& sql) {
     auto table = engine->ExecuteSql(sql);
     if (!table.ok()) return table.status();
     std::vector<std::string> rows;
-    for (const Row& row : (*table)->GatherRows()) {
-      std::string rendered;
-      for (const Value& v : row) rendered += v.ToString() + "|";
-      rows.push_back(std::move(rendered));
+    for (const Row& row : (*table)->GatherRows()) rows.push_back(Render(row));
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  }
+
+  /// What `scheme` over 'level:3,grade:4' must produce for rows 0..n-1:
+  /// each coded level replaced by its CodingMatrix row, rendered and
+  /// sorted like Run.
+  static std::vector<std::string> ExpectedCoding(CodingScheme scheme,
+                                                 int64_t n) {
+    const auto level = CodingMatrix(scheme, 3);
+    const auto grade = CodingMatrix(scheme, 4);
+    EXPECT_TRUE(level.ok() && grade.ok());
+    std::vector<std::string> rows;
+    for (int64_t id = 0; id < n; ++id) {
+      const Row input = CodesRow(id);
+      Row coded;
+      for (size_t c = 0; c < input.size(); ++c) {
+        const auto* matrix = c == 2 ? &*level : c == 4 ? &*grade : nullptr;
+        if (matrix == nullptr) {
+          coded.push_back(input[c]);
+          continue;
+        }
+        for (double v :
+             (*matrix)[static_cast<size_t>(input[c].int64_value() - 1)]) {
+          coded.push_back(scheme == CodingScheme::kOrthogonal
+                              ? Value::Double(v)
+                              : Value::Int64(static_cast<int64_t>(v)));
+        }
+      }
+      rows.push_back(Render(coded));
     }
     std::sort(rows.begin(), rows.end());
     return rows;
@@ -453,67 +486,69 @@ class BatchUdfDifferentialTest : public ::testing::Test {
   int engines_ = 0;
 };
 
-TEST_F(BatchUdfDifferentialTest, CodingBatchPathMatchesRowPath) {
+TEST_F(BatchUdfDifferentialTest, CodingMatchesMatrixExpansion) {
+  const std::pair<const char*, CodingScheme> kUdfs[] = {
+      {"dummy_code", CodingScheme::kDummy},
+      {"effect_code", CodingScheme::kEffect},
+      {"orthogonal_code", CodingScheme::kOrthogonal}};
   for (const int workers : {1, 4}) {
     for (const size_t rows : {size_t{0}, size_t{1}, kSqlBatchRows - 1,
                               kSqlBatchRows, kSqlBatchRows + 1}) {
       SqlEnginePtr engine = MakeEngine(workers, rows);
-      for (const char* udf : {"dummy_code", "effect_code", "orthogonal_code"}) {
+      for (const auto& [udf, scheme] : kUdfs) {
         const std::string sql = std::string("SELECT * FROM TABLE(") + udf +
                                 "((SELECT * FROM codes), 'level:3,grade:4'))";
         SCOPED_TRACE(sql + " workers=" + std::to_string(workers) +
                      " rows=" + std::to_string(rows));
-        auto row_path = Run(engine.get(), sql, 0);
-        auto batch_path = Run(engine.get(), sql, 1);
-        ASSERT_TRUE(row_path.ok()) << row_path.status();
-        ASSERT_TRUE(batch_path.ok()) << batch_path.status();
-        EXPECT_EQ(row_path->size(), rows * static_cast<size_t>(workers));
-        EXPECT_EQ(*row_path, *batch_path);
+        auto result = Run(engine.get(), sql);
+        ASSERT_TRUE(result.ok()) << result.status();
+        EXPECT_EQ(result->size(), rows * static_cast<size_t>(workers));
+        EXPECT_EQ(*result,
+                  ExpectedCoding(scheme, static_cast<int64_t>(rows) * workers));
       }
     }
   }
 }
 
-TEST_F(BatchUdfDifferentialTest, CodingErrorsMatchRowPath) {
+TEST_F(BatchUdfDifferentialTest, CodingErrorsAreTyped) {
   SqlEnginePtr engine = MakeEngine(4, kSqlBatchRows + 1);
   // `grade` reaches 4: outside cardinality 3.
-  const std::string out_of_range =
-      "SELECT * FROM TABLE(dummy_code((SELECT * FROM codes), 'grade:3'))";
+  auto range = Run(engine.get(),
+                   "SELECT * FROM TABLE(dummy_code((SELECT * FROM codes), "
+                   "'grade:3'))");
+  EXPECT_TRUE(range.status().IsOutOfRange()) << range.status();
   // `maybe` is NULL on every 100th row.
-  const std::string null_level =
-      "SELECT * FROM TABLE(effect_code((SELECT * FROM codes), 'maybe:3'))";
-  for (const int vectorized : {0, 1}) {
-    SCOPED_TRACE("vectorized=" + std::to_string(vectorized));
-    auto range = Run(engine.get(), out_of_range, vectorized);
-    EXPECT_TRUE(range.status().IsOutOfRange()) << range.status();
-    auto null = Run(engine.get(), null_level, vectorized);
-    EXPECT_TRUE(null.status().IsInvalidArgument()) << null.status();
-    EXPECT_NE(null.status().message().find("non-integer"), std::string::npos)
-        << null.status();
-  }
+  auto null = Run(engine.get(),
+                  "SELECT * FROM TABLE(effect_code((SELECT * FROM codes), "
+                  "'maybe:3'))");
+  EXPECT_TRUE(null.status().IsInvalidArgument()) << null.status();
+  EXPECT_NE(null.status().message().find("non-integer"), std::string::npos)
+      << null.status();
 }
 
-TEST_F(BatchUdfDifferentialTest, LocalDistinctBatchPathYieldsSameRecodeMap) {
+TEST_F(BatchUdfDifferentialTest, LocalDistinctYieldsExactRecodeMap) {
   for (const int workers : {1, 4}) {
     for (const size_t rows : {size_t{1}, kSqlBatchRows + 1}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " rows=" + std::to_string(rows));
       SqlEnginePtr engine = MakeEngine(workers, rows);
       InSqlTransformer transformer(engine);
-      SetVectorizedSqlEnabledForTest(0);
-      auto row_map = transformer.ComputeRecodeMap("SELECT * FROM codes",
-                                                  {"tag"});
-      SetVectorizedSqlEnabledForTest(1);
-      auto batch_map = transformer.ComputeRecodeMap("SELECT * FROM codes",
-                                                    {"tag"});
-      ASSERT_TRUE(row_map.ok()) << row_map.status();
-      ASSERT_TRUE(batch_map.ok()) << batch_map.status();
-      EXPECT_EQ(*row_map, *batch_map);
-      std::set<int64_t> tags;  // The generator's distinct non-NULL tags.
+      auto map = transformer.ComputeRecodeMap("SELECT * FROM codes", {"tag"});
+      ASSERT_TRUE(map.ok()) << map.status();
+      // The generator's distinct non-NULL tags; codes follow their order.
+      std::set<std::string> tags;
       for (int64_t id = 0; id < static_cast<int64_t>(rows) * workers; ++id) {
-        if (id % 5 != 0) tags.insert(id % 37);
+        const Value tag = CodesRow(id)[1];
+        if (!tag.is_null()) tags.insert(tag.string_value());
       }
-      EXPECT_EQ(row_map->Cardinality("tag"), static_cast<int>(tags.size()));
+      if (tags.empty()) {  // One row whose tag is NULL: nothing to recode.
+        EXPECT_TRUE(map->Columns().empty());
+        continue;
+      }
+      EXPECT_EQ(map->Columns(), std::vector<std::string>{"tag"});
+      auto labels = map->Labels("tag");
+      ASSERT_TRUE(labels.ok()) << labels.status();
+      EXPECT_EQ(*labels, std::vector<std::string>(tags.begin(), tags.end()));
     }
   }
 }
