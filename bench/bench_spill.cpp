@@ -8,6 +8,15 @@
 // files (decoupling the systems); with spill disabled the SQL pipeline
 // stalls behind the consumer. Total wall time is consumer-bound either
 // way; the interesting column is how long the *SQL engine* stays busy.
+//
+// Usage: bench_spill [rows] [--smoke] [--check]
+//   --smoke  shrinks the workload for CI (20k rows unless given).
+//   --check  exits 1 unless both modes deliver every row, spill mode spills
+//            (spilled_frames > 0), backpressure mode does not
+//            (spilled_frames == 0), and no .spill file is left behind.
+
+#include <cstring>
+#include <filesystem>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -16,19 +25,48 @@
 using namespace sqlink;
 using sqlink::bench::BenchEnv;
 
+namespace {
+
+int CountSpillFiles(const std::string& root) {
+  int count = 0;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root)) {
+    if (entry.is_regular_file() && entry.path().extension() == ".spill") {
+      ++count;
+    }
+  }
+  return count;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const int64_t rows = sqlink::bench::RowsArg(argc, argv, 100000);
+  bool smoke = false;
+  bool check = false;
+  int64_t rows = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      check = true;
+    } else {
+      rows = std::atoll(argv[i]);
+    }
+  }
+  if (rows == 0) rows = smoke ? 20000 : 100000;
   auto env = BenchEnv::Make(rows);
   auto table = env->engine->MaterializeSql(
       "SELECT cartid, amount, nitems, year FROM carts", "stream_src");
   if (!table.ok()) return 1;
+  const auto expected_rows = static_cast<int64_t>((*table)->TotalRows());
 
   std::printf("=== A4: slow consumer — spill vs backpressure ===\n");
   std::printf("rows: %lld, consumer delay 200us/frame, 4KB buffers\n\n",
-              static_cast<long long>((*table)->TotalRows()));
+              static_cast<long long>(expected_rows));
   std::printf("%-14s %12s %16s %16s\n", "mode", "time(s)", "spilled_frames",
               "spilled_bytes");
 
+  int failures = 0;
   for (bool spill : {true, false}) {
     StreamTransferOptions options;
     options.sink.send_buffer_bytes = 4096;
@@ -52,6 +90,26 @@ int main(int argc, char** argv) {
         .Param("spilled_frames", result->spilled_frames)
         .Emit(watch.ElapsedSeconds() * 1000.0);
     MetricsRegistry::Global().Reset();  // Per-mode metric deltas.
+
+    const auto delivered = static_cast<int64_t>(result->dataset.TotalRows());
+    if (delivered != expected_rows) {
+      std::fprintf(stderr, "--check: %s mode delivered %lld of %lld rows\n",
+                   spill ? "spill" : "backpressure",
+                   static_cast<long long>(delivered),
+                   static_cast<long long>(expected_rows));
+      ++failures;
+    }
+    if (spill != (result->spilled_frames > 0)) {
+      std::fprintf(stderr, "--check: %s mode spilled %lld frames\n",
+                   spill ? "spill" : "backpressure",
+                   static_cast<long long>(result->spilled_frames));
+      ++failures;
+    }
   }
-  return 0;
+  const int leftover = CountSpillFiles(env->workspace->path());
+  if (leftover != 0) {
+    std::fprintf(stderr, "--check: %d .spill files left behind\n", leftover);
+    ++failures;
+  }
+  return check && failures > 0 ? 1 : 0;
 }

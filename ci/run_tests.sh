@@ -78,6 +78,13 @@ MUX_BENCH_JSON="$(pwd)/BENCH_pr9.json"
 rm -f "${MUX_BENCH_JSON}"
 SQLINK_BENCH_JSON="${MUX_BENCH_JSON}" "${BUILD_DIR}/bench/bench_mux" --smoke --check
 
+# Spill ablation smoke (§3): the same slow-consumer transfer with spill on
+# and off — --check fails unless both modes deliver every row, spill mode
+# spills, backpressure mode does not, and no .spill file is left behind.
+echo "==> [${BUILD_DIR}] bench smoke (spill vs backpressure)"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target bench_spill
+"${BUILD_DIR}/bench/bench_spill" --smoke --check
+
 # Benchmark-of-record self-test: builds perfbench/bench_of_record against
 # this tree and runs every workload (Figure 3/4 pipelines, the query server)
 # end to end at 20k carts, checking each result against its correctness

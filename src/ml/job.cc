@@ -123,14 +123,24 @@ Result<IngestStats> RunIngestPhases(InputFormat* format,
   });
 
   // --- §6 split reassignment: failed splits are re-pulled from their
-  // producers' replay windows by replacement readers. Sequential, and only
+  // producers' frame logs by replacement readers. Sequential, and only
   // after every original reader has unwound: a fenced ("zombie") reader must
   // have stopped touching its partition before a replacement resumes it. ---
   size_t failed = 0;
   for (const Status& status : statuses) {
     if (!status.ok()) ++failed;
   }
-  if (failed > 0 && format->SupportsReassignment()) {
+  if (failed > 0 && !format->SupportsReassignment()) {
+    // No replacement reader is coming: tell the producers, so a sink
+    // waiting for this split's reconnect fails now with the reader's error
+    // instead of sleeping out its reconnect window.
+    for (const Status& status : statuses) {
+      if (status.ok()) continue;
+      format->AbortTransfer(status);
+      return status;
+    }
+  }
+  if (failed > 0) {
     RetryPolicy::Options poll_options;
     poll_options.initial_delay_ms = 5;
     poll_options.max_delay_ms = 100;

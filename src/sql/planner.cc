@@ -323,7 +323,9 @@ Result<Planner::RelationPlan> Planner::PlanFromWhere(const SelectStmt& stmt) {
       const ExprPtr& conjunct = join_level[c];
       if (!BindsWithin(*conjunct, combined_scope, *scalars_)) continue;
       used[c] = true;
-      // Equi-join key? `a.x = b.y` with sides on opposite inputs.
+      // Equi-join key? `a.x = b.y` with sides on opposite inputs and one
+      // type: the key hash and equality compare by type, so a mixed
+      // INT64/DOUBLE pair stays in the residual, which compares numerically.
       bool is_key = false;
       if (conjunct->kind == ExprKind::kComparison && conjunct->op == "=" &&
           conjunct->children[0]->kind == ExprKind::kColumnRef &&
@@ -334,12 +336,13 @@ Result<Planner::RelationPlan> Planner::PlanFromWhere(const SelectStmt& stmt) {
         auto a_right = right.scope.Resolve(a.qualifier, a.column);
         auto b_left = current.scope.Resolve(b.qualifier, b.column);
         auto b_right = right.scope.Resolve(b.qualifier, b.column);
-        if (a_left.ok() && !a_right.ok() && b_right.ok() && !b_left.ok()) {
+        if (a_left.ok() && !a_right.ok() && b_right.ok() && !b_left.ok() &&
+            a_left->type == b_right->type) {
           left_keys.push_back(a_left->index);
           right_keys.push_back(b_right->index);
           is_key = true;
         } else if (b_left.ok() && !b_right.ok() && a_right.ok() &&
-                   !a_left.ok()) {
+                   !a_left.ok() && b_left->type == a_right->type) {
           left_keys.push_back(b_left->index);
           right_keys.push_back(a_right->index);
           is_key = true;
@@ -353,7 +356,10 @@ Result<Planner::RelationPlan> Planner::PlanFromWhere(const SelectStmt& stmt) {
     join->children = {current.plan, right.plan};
     join->left_keys = std::move(left_keys);
     join->right_keys = std::move(right_keys);
+    // A keyless join broadcasts whatever its size: a repartition has no key
+    // to bring matching rows together.
     join->broadcast_build =
+        join->left_keys.empty() ||
         right.plan->estimated_rows <= options_.broadcast_threshold_rows;
     if (!residuals.empty()) {
       const ExprPtr combined = CombineConjuncts(residuals);

@@ -625,6 +625,9 @@ Status StreamCoordinator::HandleSplitStatus(TcpSocket* socket,
   bool completed = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // An aborted transfer answers every RPC with its abort status, so a
+    // sink polling for an out-of-band completion stops waiting.
+    if (aborted_) return abort_status_;
     completed = splits_ready_ && split_id < split_runtime_.size() &&
                 split_runtime_[static_cast<size_t>(split_id)].state ==
                     SplitState::kCompleted;

@@ -20,9 +20,8 @@
 #include "net/conn_pool.h"
 #include "net/mux.h"
 #include "sql/query_registry.h"
+#include "stream/frame_log.h"
 #include "stream/heartbeat.h"
-#include "stream/replay_window.h"
-#include "stream/spill_queue.h"
 #include "stream/wire.h"
 #include "table/column_batch.h"
 
@@ -45,6 +44,7 @@ class FrameBatcher {
   }
 
   bool empty() const { return batch_.empty(); }
+  size_t rows() const { return batch_.num_rows(); }
   /// Approximate payload bytes accumulated (flush threshold).
   size_t bytes() const { return batch_.ByteSize(); }
 
@@ -62,12 +62,6 @@ class FrameBatcher {
   FrameBufferPool* pool_;
 };
 
-/// Row count of a kColData payload (its leading varint).
-Result<uint64_t> FrameRowCount(const std::string& frame) {
-  Decoder decoder(frame);
-  return decoder.GetVarint64();
-}
-
 /// The reader-to-sink half of one data channel: cumulative kDataAck frames
 /// and the final kAck arrive interleaved with (and independent of) the
 /// outbound data stream, so the sender drains them non-blockingly between
@@ -80,19 +74,19 @@ class AckChannel {
   /// A kError frame surfaces as its decoded typed status. A clean peer
   /// close is NOT an error here: buffered acks are still applied, and the
   /// send path discovers the closed channel on its next write.
-  Status Poll(ReplayWindow* window) {
+  Status Poll(FrameLog* log) {
     for (;;) {
       bool closed = false;
       ASSIGN_OR_RETURN(bool got, channel_->TryRecv(&frame_, &closed));
       if (!got) return Status::OK();
       bool done = false;
-      RETURN_IF_ERROR(Apply(window, /*final_ack=*/nullptr, &done));
+      RETURN_IF_ERROR(Apply(log, /*final_ack=*/nullptr, &done));
       if (done) return Status::OK();
     }
   }
 
   /// Blocks until the reader's final kAck, applying kDataAcks on the way.
-  Status AwaitFinalAck(ReplayWindow* window) {
+  Status AwaitFinalAck(FrameLog* log) {
     for (;;) {
       const Status status = channel_->Recv(&frame_);
       if (!status.ok()) {
@@ -100,7 +94,7 @@ class AckChannel {
                                     status.message() + ")");
       }
       bool done = false;
-      RETURN_IF_ERROR(Apply(window, &done, &done));
+      RETURN_IF_ERROR(Apply(log, &done, &done));
       if (done) return Status::OK();
     }
   }
@@ -108,10 +102,10 @@ class AckChannel {
  private:
   /// Applies the frame in `frame_`. `final_ack` != nullptr means a kAck is
   /// expected (and sets it); `done` stops the caller's drain loop.
-  Status Apply(ReplayWindow* window, bool* final_ack, bool* done) {
+  Status Apply(FrameLog* log, bool* final_ack, bool* done) {
     switch (frame_.type) {
       case FrameType::kDataAck:
-        window->Ack(frame_.seq);
+        log->Ack(frame_.seq);
         return Status::OK();
       case FrameType::kAck:
         *done = true;
@@ -169,11 +163,7 @@ Result<StreamSinkOptions> StreamSinkOptions::FromArgs(
     options.heartbeat_ms = static_cast<int>(args[first + 4].int64_value());
   }
   if (args.size() > first + 5) {
-    if (!args[first + 5].is_int64() || args[first + 5].int64_value() <= 0) {
-      return Status::InvalidArgument("replay window must be positive");
-    }
-    options.replay_window_bytes =
-        static_cast<size_t>(args[first + 5].int64_value());
+    return Status::InvalidArgument("too many sql_stream_sink arguments");
   }
   return options;
 }
@@ -194,7 +184,7 @@ Result<SchemaPtr> SqlStreamSinkUdf::Bind(const SchemaPtr& input_schema,
       !args[2].is_string()) {
     return Status::InvalidArgument(
         "sql_stream_sink(query, host, port, command[, buffer, spill, "
-        "resilient])");
+        "resilient, reconnect_timeout_ms, heartbeat_ms])");
   }
   coordinator_host_ = args[0].string_value();
   coordinator_port_ = static_cast<int>(args[1].int64_value());
@@ -370,12 +360,12 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   // the inbox closes (shutdown). Between slices, `acked_out_of_band` checks
   // whether the split was already reported complete to the coordinator — a
   // reader whose final ack died with a shared connection finishes that way
-  // and never reconnects; `*completed` signals that success to the caller.
-  auto wait_for_inbound = [](BlockingQueue<Inbound>* inbox,
-                             RetryPolicy* policy,
-                             const std::function<bool()>& acked_out_of_band,
-                             std::optional<Inbound>* out,
-                             bool* completed) -> Status {
+  // and never reconnects; `*completed` signals that success to the caller,
+  // and an error (the transfer was aborted) ends the wait with it.
+  auto wait_for_inbound =
+      [](BlockingQueue<Inbound>* inbox, RetryPolicy* policy,
+         const std::function<Result<bool>()>& acked_out_of_band,
+         std::optional<Inbound>* out, bool* completed) -> Status {
     for (;;) {
       const auto slice = policy->NextDelay();
       if (!slice.has_value()) {
@@ -384,10 +374,8 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       bool timed_out = false;
       *out = inbox->PopFor(*slice, &timed_out);
       if (!timed_out) return Status::OK();
-      if (acked_out_of_band != nullptr && acked_out_of_band()) {
-        *completed = true;
-        return Status::OK();
-      }
+      ASSIGN_OR_RETURN(*completed, acked_out_of_band());
+      if (*completed) return Status::OK();
     }
   };
   RetryPolicy::Options inbound_wait_options;
@@ -411,25 +399,25 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
     encoders.push_back(std::make_unique<ColumnarChannelEncoder>(input_schema_));
   }
 
-  // --- Step 8: round-robin rows into per-target send buffers while sender
-  // threads drain them onto the sockets. Each sender retains sent frames in
-  // a replay window until the reader's cumulative ack releases them. ---
-  std::vector<std::unique_ptr<SpillingByteQueue>> queues;
+  // --- Step 8: round-robin rows into per-target frame logs while sender
+  // threads send them onto the channels. A frame stays in its log until the
+  // reader's cumulative ack releases it. ---
+  std::vector<std::unique_ptr<FrameLog>> logs;
   for (int j = 0; j < k; ++j) {
-    SpillingByteQueue::Options queue_options;
-    queue_options.memory_capacity_bytes = options_.send_buffer_bytes;
-    queue_options.spill_enabled = options_.spill_enabled;
+    FrameLog::Options log_options;
+    log_options.send_buffer_bytes = options_.send_buffer_bytes;
+    log_options.spill_enabled = options_.spill_enabled;
     // The query id keeps scratch paths distinct when several queries run
     // concurrently on one engine — without it, two pipelines truncate and
     // delete each other's spill files.
-    queue_options.spill_path = scratch_dir + "/stream_spill_q" +
-                               std::to_string(context.query_id) + "_w" +
-                               std::to_string(context.worker_id) + "_t" +
-                               std::to_string(j);
-    // Per-query spill quota (serving layer): when exhausted, Push degrades
-    // to backpressure instead of growing the shared spill directory.
-    queue_options.spill_budget = context.spill_budget;
-    queues.push_back(std::make_unique<SpillingByteQueue>(queue_options));
+    log_options.spill_path = scratch_dir + "/stream_spill_q" +
+                             std::to_string(context.query_id) + "_w" +
+                             std::to_string(context.worker_id) + "_t" +
+                             std::to_string(j);
+    // Per-query spill quota (serving layer): when exhausted, Append
+    // degrades to backpressure instead of growing the shared spill directory.
+    log_options.spill_budget = context.spill_budget;
+    logs.push_back(std::make_unique<FrameLog>(log_options));
   }
 
   // Channels the senders are actively serving, so an abort can shut each
@@ -453,16 +441,16 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   active_channels.by_target.resize(static_cast<size_t>(k));
 
   // Sink lease: one heartbeat per SQL worker. Revocation means the
-  // coordinator aborted the query (or fenced this sink) — cancel the send
-  // queues so producer and senders unwind promptly with a typed status.
+  // coordinator aborted the query (or fenced this sink) — cancel the frame
+  // logs so producer and senders unwind promptly with a typed status.
   HeartbeatSender::Options beat_options;
   beat_options.coordinator_host = coordinator_host_;
   beat_options.coordinator_port = coordinator_port_;
   beat_options.interval_ms = options_.heartbeat_ms;
   beat_options.role = HeartbeatMessage::kSink;
   beat_options.id = context.worker_id;
-  beat_options.on_revoked = [&queues, &inboxes, &active_channels] {
-    for (auto& queue : queues) queue->Cancel();
+  beat_options.on_revoked = [&logs, &inboxes, &active_channels] {
+    for (auto& log : logs) log->Cancel();
     // A sender parked waiting for a (re)connect must wake too: an aborted
     // query has no replacement reader coming, so sleeping out the full
     // reconnect window would stall the drain.
@@ -473,9 +461,9 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   heartbeat.Start();
 
   // Per-query cancellation (client disconnect, deadline): same unwind as a
-  // lease revocation — cancel the queues, wake parked senders. The guard is
-  // declared after the queues so its destructor removes the callback (and
-  // waits out any in-flight cancel pass) BEFORE the queues are destroyed.
+  // lease revocation — cancel the logs, wake parked senders. The guard is
+  // declared after the logs so its destructor removes the callback (and
+  // waits out any in-flight cancel pass) BEFORE the logs are destroyed.
   struct CancelGuard {
     Cancellation* cancellation;
     int64_t id = 0;
@@ -485,15 +473,12 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   } cancel_guard{context.cancellation};
   if (context.cancellation != nullptr) {
     cancel_guard.id =
-        context.cancellation->OnCancel([&queues, &inboxes, &active_channels] {
-          for (auto& queue : queues) queue->Cancel();
+        context.cancellation->OnCancel([&logs, &inboxes, &active_channels] {
+          for (auto& log : logs) log->Cancel();
           for (auto& inbox : inboxes) inbox->Close();
           active_channels.ShutdownAll(Status::Cancelled("query cancelled"));
         });
   }
-
-  static Counter* const replayed_counter =
-      MetricsRegistry::Global().GetCounter("transfer.frames_replayed");
 
   std::atomic<int64_t> channels_served{0};
   std::vector<std::thread> senders;
@@ -504,25 +489,15 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       // span explicitly; frames it sends inherit this span's context.
       TraceSpan send_span("sink.send", partition_ctx);
       send_span.AddAttribute("target", j);
-      SpillingByteQueue* queue = queues[static_cast<size_t>(j)].get();
-
-      ReplayWindow::Options window_options;
-      window_options.memory_capacity_bytes = options_.replay_window_bytes;
-      window_options.spill_enabled = options_.spill_enabled;
-      window_options.spill_path = scratch_dir + "/stream_replay_q" +
-                                  std::to_string(context.query_id) + "_w" +
-                                  std::to_string(context.worker_id) + "_t" +
-                                  std::to_string(j);
-      window_options.buffer_pool = frame_pool;
-      ReplayWindow window(window_options);
-      bool input_done = false;  ///< The send queue has been fully drained.
+      FrameLog* log = logs[static_cast<size_t>(j)].get();
 
       // A reader that applied the whole stream can lose its final ack to a
       // dying shared connection: it reports kCompleteSplit to the
       // coordinator and never reconnects. Track the split this sender
-      // serves so the reconnect wait can poll that out-of-band signal.
+      // serves so the reconnect wait can poll that out-of-band signal. An
+      // aborted transfer answers with its typed status, which ends the wait.
       int served_split = -1;
-      auto split_completed = [&]() -> bool {
+      auto split_completed = [&]() -> Result<bool> {
         if (served_split < 0) return false;
         auto control = TcpConnect(coordinator_host_, coordinator_port_);
         if (!control.ok()) return false;
@@ -532,15 +507,19 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
           return false;
         }
         auto reply = RecvFrame(&*control);
-        if (!reply.ok() || reply->type != FrameType::kAck) return false;
+        if (!reply.ok()) return false;
+        if (reply->type == FrameType::kError) {
+          return DecodeStatusPayload(reply->payload);
+        }
+        if (reply->type != FrameType::kAck) return false;
         Decoder decoder(reply->payload);
         auto done = decoder.GetVarint64();
         return done.ok() && *done == 1;
       };
 
-      // Serves one (re)connection: answer HELLO with the resume point,
-      // replay the unacked suffix, then stream live frames until the input
-      // is exhausted and the reader's final ack lands.
+      // Serves one (re)connection: answer HELLO with the resume point, then
+      // send from the log's cursor — the unacked suffix first, live frames
+      // after — until the input is exhausted and the final ack lands.
       auto serve = [&](const Inbound& conn) -> Status {
         MuxChannel* channel = conn.channel.get();
         if (conn.split_id >= 0) served_split = conn.split_id;
@@ -556,16 +535,10 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
           ~ActiveGuard() { active->Set(j, nullptr); }
         } active_guard{&active_channels, static_cast<size_t>(j)};
 
-        uint64_t resume = conn.resume_seq < 0
-                              ? window.acked_seq()
-                              : static_cast<uint64_t>(conn.resume_seq);
-        // The window forgets acked frames, and never holds future ones.
-        resume = std::max(resume, window.acked_seq());
-        resume = std::min(resume, window.last_seq());
-        ASSIGN_OR_RETURN(uint64_t resume_rows, window.RowsThrough(resume));
+        const FrameLog::ResumePoint resume = log->Rewind(conn.resume_seq);
         ResumeMessage resume_msg;
-        resume_msg.resume_seq = resume;
-        resume_msg.resume_rows = resume_rows;
+        resume_msg.resume_seq = resume.seq;
+        resume_msg.resume_rows = resume.rows;
         RETURN_IF_ERROR(
             channel->Send(FrameType::kResume, resume_msg.Encode(), 0));
 
@@ -581,44 +554,23 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
                           encoders[static_cast<size_t>(j)]->SnapshotDicts(),
                           0));
 
-        RETURN_IF_ERROR(window.Replay(
-            resume, [&](uint64_t seq, uint64_t rows, const std::string& frame)
-                        -> Status {
-              (void)rows;
-              RETURN_IF_ERROR(channel->Send(FrameType::kColData, frame, seq));
-              replayed_counter->Increment();
-              return Status::OK();
-            }));
-
-        while (!input_done) {
-          RETURN_IF_ERROR(acks.Poll(&window));
-          ASSIGN_OR_RETURN(std::optional<std::string> frame, queue->Pop());
-          if (!frame.has_value()) {
-            input_done = true;
-            break;
-          }
-          ASSIGN_OR_RETURN(uint64_t rows, FrameRowCount(*frame));
-          const uint64_t seq = window.last_seq() + 1;
-          // Retain before sending: a frame that dies on the wire must
-          // already be replayable. The retained copy lives in a pooled
-          // buffer that Ack() recycles; the popped frame goes back to the
-          // pool once it is on the wire.
-          std::string retained = frame_pool->Acquire();
-          retained.assign(*frame);
-          RETURN_IF_ERROR(window.Append(seq, rows, std::move(retained)));
-          RETURN_IF_ERROR(channel->Send(FrameType::kColData, *frame, seq));
-          frame_pool->Release(std::move(*frame));
+        const FrameLog::SendFn send_frame = [channel](uint64_t seq,
+                                                      const std::string& frame) {
+          return channel->Send(FrameType::kColData, frame, seq);
+        };
+        for (;;) {
+          RETURN_IF_ERROR(acks.Poll(log));
+          ASSIGN_OR_RETURN(const bool sent, log->SendNext(send_frame));
+          if (!sent) break;
         }
 
         // kEnd carries the last data sequence so the reader can detect a
         // gap, and the channel's total row count for validation.
-        ASSIGN_OR_RETURN(uint64_t total_rows,
-                         window.RowsThrough(window.last_seq()));
         std::string end_payload;
-        PutVarint64(&end_payload, total_rows);
-        RETURN_IF_ERROR(channel->Send(FrameType::kEnd, end_payload,
-                                      window.last_seq()));
-        return acks.AwaitFinalAck(&window);
+        PutVarint64(&end_payload, log->total_rows());
+        RETURN_IF_ERROR(
+            channel->Send(FrameType::kEnd, end_payload, log->last_seq()));
+        return acks.AwaitFinalAck(log);
       };
 
       auto run = [&]() -> Status {
@@ -661,10 +613,10 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       if (!status.ok()) {
         send_span.SetError();
         // Unblock the producer so the SQL side fails fast instead of
-        // filling a queue nobody drains.
-        queue->Cancel();
+        // filling a log nobody sends.
+        log->Cancel();
       }
-      send_span.AddAttribute("replay_spilled", window.spilled_frames());
+      send_span.AddAttribute("replay_spilled", log->retention_spilled_frames());
     });
   }
 
@@ -676,13 +628,12 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   }
   Status produce_status;
   size_t next_target = 0;
-  // Flushes target j's accumulated frame when it crossed the buffer size.
-  auto maybe_flush = [&](size_t j) -> Status {
-    FrameBatcher& batch = batchers[j];
-    if (batch.bytes() < options_.send_buffer_bytes) return Status::OK();
-    ASSIGN_OR_RETURN(std::string frame, batch.Flush());
+  // Renders target j's accumulated rows as one frame and appends it.
+  auto flush = [&](size_t j) -> Status {
+    const size_t rows = batchers[j].rows();
+    ASSIGN_OR_RETURN(std::string frame, batchers[j].Flush());
     bytes_sent += static_cast<int64_t>(frame.size());
-    return queues[j]->Push(std::move(frame));
+    return logs[j]->Append(std::move(frame), rows);
   };
   // Per-row round-robin routing; each target receives its slice of the
   // batch as one gather, so no row is ever boxed.
@@ -709,7 +660,10 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
       take = std::min(take, sel.size() - off);
       RETURN_IF_ERROR(batcher.AddRows(src, sel.data() + off, take));
       rows_sent += static_cast<int64_t>(take);
-      RETURN_IF_ERROR(maybe_flush(j));
+      // Flush once the frame crossed the buffer size.
+      if (batcher.bytes() >= options_.send_buffer_bytes) {
+        RETURN_IF_ERROR(flush(j));
+      }
       off += take;
     }
     return Status::OK();
@@ -733,27 +687,19 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
     if (!produce_status.ok()) break;
   }
   if (produce_status.ok()) {
-    for (size_t j = 0; j < batchers.size(); ++j) {
-      if (batchers[j].empty()) continue;
-      Result<std::string> frame = batchers[j].Flush();
-      if (!frame.ok()) {
-        produce_status = frame.status();
-        break;
-      }
-      bytes_sent += static_cast<int64_t>(frame->size());
-      produce_status = queues[j]->Push(std::move(*frame));
-      if (!produce_status.ok()) break;
+    for (size_t j = 0; j < batchers.size() && produce_status.ok(); ++j) {
+      if (!batchers[j].empty()) produce_status = flush(j);
     }
   }
-  for (auto& queue : queues) {
+  for (auto& log : logs) {
     if (produce_status.ok()) {
-      queue->CloseProducer();
+      log->CloseProducer();
     } else {
-      queue->Cancel();
+      log->Cancel();
     }
   }
   for (std::thread& sender : senders) sender.join();
-  for (auto& queue : queues) spilled_frames += queue->spilled_frames();
+  for (auto& log : logs) spilled_frames += log->spilled_frames();
 
   Status transfer_status = produce_status;
   if (transfer_status.ok()) {
@@ -768,7 +714,7 @@ Status SqlStreamSinkUdf::ProcessPartition(const TableUdfContext& context,
   if (!transfer_status.ok() && context.cancellation != nullptr &&
       context.cancellation->cancelled()) {
     // Surface the typed cancellation status (kCancelled / deadline) instead
-    // of the generic "queue cancelled" the unwind produced.
+    // of the generic "frame log cancelled" the unwind produced.
     transfer_status = context.cancellation->status();
   }
   if (!transfer_status.ok()) {

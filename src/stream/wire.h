@@ -26,7 +26,7 @@ enum class FrameType : uint8_t {
   kError = 4,   ///< Sender failed; payload = message.
   // 2 (row-encoded data batches) and 5 (a standalone HELLO; it now rides
   // inside kOpenChannel) are retired and stay reserved so the other types
-  // keep their values.
+  // keep their values; so is 17 below.
 
   // Control plane (coordinator).
   kRegisterSql = 10,
@@ -36,7 +36,8 @@ enum class FrameType : uint8_t {
   kMatch = 14,
   kReportFailure = 15,
   kAck = 16,
-  kShutdown = 17,
+  // 17 (a coordinator shutdown frame nothing ever sent) is retired and
+  // stays reserved.
 
   // Recovery plane (liveness + at-least-once replay).
   kHeartbeat = 18,      ///< Lease renewal from a sink or reader.
@@ -135,8 +136,8 @@ Result<bool> ExtractFrame(std::string_view buffer, size_t* cursor,
                           Frame* frame);
 
 /// Bounded pool of reusable frame/payload buffers. Steady-state senders
-/// acquire, fill, hand the bytes to the socket and the replay window, and
-/// release — after warm-up no send allocates. Buffers above a capacity cap
+/// acquire, fill, append the buffer to a FrameLog, and the log releases it
+/// once acked — after warm-up no send allocates. Buffers above a capacity cap
 /// are dropped on release instead of pinning memory. Thread-safe.
 /// Counters: stream.wire.frames_pooled (acquire served from the pool),
 /// stream.wire.pool_miss (acquire had to allocate fresh).

@@ -6,7 +6,6 @@
 
 #include "common/result.h"
 #include "common/string_dict.h"
-#include "table/record_batch.h"
 #include "table/schema.h"
 #include "table/value.h"
 
@@ -69,10 +68,9 @@ void AppendNullWords(std::vector<uint64_t>* dst, size_t dst_rows,
 void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
                         const int32_t* rows, size_t n);
 
-/// Columnar counterpart of RecordBatch: typed per-column vectors instead of
-/// boxed Value rows. This is the unit the vectorized transform kernels, the
-/// columnar wire encoding, and the columnar ML ingest operate on; converters
-/// to/from RecordBatch bridge the row-oriented engine surfaces.
+/// A schema plus typed per-column vectors instead of boxed Value rows. This
+/// is the unit the batch SQL operators, the vectorized transform kernels,
+/// the columnar wire encoding, and the columnar ML ingest operate on.
 class ColumnBatch {
  public:
   ColumnBatch() = default;
@@ -129,11 +127,6 @@ class ColumnBatch {
   static Result<ColumnBatch> FromRows(SchemaPtr schema,
                                       const std::vector<Row>& rows);
   std::vector<Row> ToRows() const;
-
-  /// RecordBatch interop: FromRecordBatch errors on a schema-less batch or
-  /// on rows whose value types contradict the schema.
-  static Result<ColumnBatch> FromRecordBatch(const RecordBatch& batch);
-  RecordBatch ToRecordBatch() const;
 
  private:
   SchemaPtr schema_;

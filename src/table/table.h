@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "table/record_batch.h"
 #include "table/schema.h"
 
 namespace sqlink {

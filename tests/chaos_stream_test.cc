@@ -11,8 +11,10 @@
 
 #include <filesystem>
 #include <memory>
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "cluster/cluster.h"
 #include "common/failpoint.h"
@@ -254,6 +256,75 @@ TEST_F(ChaosStreamTest, MuxConnKilledMidTransferRecovers) {
   EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
   SetMuxConnsPerPeerForTest(0);
   MuxConnPool::Global().ResetForTest();
+}
+
+TEST_F(ChaosStreamTest, ReplayFromSpilledFramesAfterConnectionCut) {
+  // A tiny send buffer and a slow consumer push most frames to disk, where
+  // they stay after their first send until acked. Cutting the shared
+  // connection mid-frame then makes the reconnecting reader's replay read
+  // its unacked suffix back from the same spill file.
+  MetricsRegistry::Global().Reset();
+  StreamTransferOptions options;
+  options.sink.resilient = true;
+  options.sink.spill_enabled = true;
+  options.sink.send_buffer_bytes = 192;
+  options.reader.recovery_enabled = true;
+  options.reader.consume_delay_micros_per_frame = 500;
+  ScopedFailpoint fault("stream.wire.send_data", "after(6):close(1)");
+  ASSERT_TRUE(fault.status().ok()) << fault.status();
+
+  // Watch the scratch tree while the transfer runs: each sink target owns
+  // at most one spill file, and it is the frame log's.
+  std::atomic<bool> done{false};
+  std::atomic<int> max_spill_files{0};
+  std::atomic<int> foreign_spill_files{0};
+  std::thread watcher([&] {
+    while (!done.load()) {
+      int count = 0;
+      std::error_code ec;
+      for (auto it = std::filesystem::recursive_directory_iterator(
+               temp_->path(), ec);
+           !ec && it != std::filesystem::recursive_directory_iterator();
+           it.increment(ec)) {
+        if (it->path().extension() != ".spill") continue;
+        ++count;
+        if (it->path().filename().string().rfind("stream_spill_q", 0) != 0) {
+          foreign_spill_files.fetch_add(1);
+        }
+      }
+      if (count > max_spill_files.load()) max_spill_files.store(count);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  auto result =
+      StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
+  done.store(true);
+  watcher.join();
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(fault.fires(), 1);
+
+  // Exactly once, against the direct query.
+  auto direct = engine_->ExecuteSql("SELECT id FROM points");
+  ASSERT_TRUE(direct.ok()) << direct.status();
+  std::multiset<int64_t> expected;
+  for (const Row& row : (*direct)->GatherRows()) {
+    expected.insert(row[0].int64_value());
+  }
+  std::multiset<int64_t> delivered;
+  for (const auto& partition : result->dataset.partitions) {
+    for (const Row& row : partition.ToRows()) {
+      delivered.insert(row[0].int64_value());
+    }
+  }
+  EXPECT_EQ(delivered, expected);
+
+  MetricsRegistry& metrics = MetricsRegistry::Global();
+  EXPECT_GE(metrics.Get("transfer.frames_replayed"), 1);
+  EXPECT_GT(metrics.Get("stream.spill.spilled_frames"), 0);
+  const int targets = 4;  // 4 SQL workers x 1 split each.
+  EXPECT_LE(max_spill_files.load(), targets);
+  EXPECT_EQ(foreign_spill_files.load(), 0);
+  EXPECT_EQ(CountSpillFiles(temp_->path()), 0);
 }
 
 TEST_F(ChaosStreamTest, SlowConsumerDelayCompletes) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -20,9 +21,9 @@
 #include "sql/batch_kernels.h"
 #include "sql/engine.h"
 #include "sql/parser.h"
+#include "frame_log_util.h"
 #include "sql_reference.h"
-#include "stream/replay_window.h"
-#include "stream/spill_queue.h"
+#include "stream/frame_log.h"
 #include "table/csv.h"
 #include "table/row_codec.h"
 #include "transform/coding.h"
@@ -307,17 +308,18 @@ INSTANTIATE_TEST_SUITE_P(Losses, GradientCheckTest,
                          ::testing::Values(0, 1, 2), LossName);
 
 // ---------------------------------------------------------------------------
-// Spill queue: order preserved across every capacity, with random sizes.
+// Frame log: order preserved across every send-buffer size, with random
+// frame sizes and a concurrent producer and sender.
 
-class SpillQueueSweepTest : public ::testing::TestWithParam<size_t> {};
+class FrameLogSweepTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
-  ScopedTempDir temp("spill_sweep");
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = GetParam();
+TEST_P(FrameLogSweepTest, OrderPreservedUnderRandomTraffic) {
+  ScopedTempDir temp("frame_log_sweep");
+  FrameLog::Options options;
+  options.send_buffer_bytes = GetParam();
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/spill";
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   Random rng(GetParam());
   constexpr int kFrames = 500;
@@ -326,19 +328,19 @@ TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
     for (int i = 0; i < kFrames; ++i) {
       std::string frame = std::to_string(i) + ":" +
                           prng.NextString(prng.Uniform(64));
-      ASSERT_TRUE(queue.Push(std::move(frame)).ok());
+      ASSERT_TRUE(log.Append(std::move(frame), 1).ok());
       if (prng.Bernoulli(0.1)) {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
-    queue.CloseProducer();
+    log.CloseProducer();
   });
   int expected = 0;
+  std::string text;
   for (;;) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    if (!frame->has_value()) break;
-    const std::string& text = **frame;
+    auto got = PopFrame(&log, &text);
+    ASSERT_TRUE(got.ok());
+    if (!*got) break;
     const int id = std::stoi(text.substr(0, text.find(':')));
     EXPECT_EQ(id, expected++);
     if (rng.Bernoulli(0.05)) {
@@ -349,71 +351,107 @@ TEST_P(SpillQueueSweepTest, OrderPreservedUnderRandomTraffic) {
   EXPECT_EQ(expected, kFrames);
 }
 
-INSTANTIATE_TEST_SUITE_P(Capacities, SpillQueueSweepTest,
+INSTANTIATE_TEST_SUITE_P(Capacities, FrameLogSweepTest,
                          ::testing::Values(16, 64, 256, 4096, 1 << 20));
 
 // ---------------------------------------------------------------------------
-// Replay window: under an arbitrary interleaving of appends and cumulative
-// acks, (a) the in-memory footprint never exceeds the byte budget — excess
-// retention overflows to the spill file — and (b) replaying from the ack
-// always reproduces exactly the unacked suffix, in order, byte for byte.
+// Frame log: under an arbitrary interleaving of appends, sends, cumulative
+// acks and rewinds, (a) sent-but-unacked bytes in memory never exceed the
+// retention cap — the excess overflows to the spill file — (b) every frame
+// reaches disk at most once, and (c) replaying from the ack reproduces
+// exactly the unacked suffix, in order, byte for byte.
 
-class ReplayWindowPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+class FrameLogPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ReplayWindowPropertyTest, MemoryBoundHoldsUnderRandomTraffic) {
+TEST_P(FrameLogPropertyTest, RetainedMemoryBoundHoldsUnderRandomTraffic) {
+  constexpr size_t kCap = FrameLog::kRetainedMemoryBytes;
   Random rng(GetParam() * 7919 + 11);
-  ScopedTempDir temp("replay_window_prop");
-  ReplayWindow::Options options;
-  options.memory_capacity_bytes = 1 + rng.Uniform(2048);
+  ScopedTempDir temp("frame_log_prop");
+  FrameLog::Options options;
+  // Send buffers from tiny to larger than the cap, so frames are sent from
+  // memory and from disk and the retained bytes do cross the cap.
+  options.send_buffer_bytes = 1 + rng.Uniform(2 * kCap);
   options.spill_enabled = true;
-  options.spill_path = temp.path() + "/window";
-  ReplayWindow window(options);
+  options.spill_path = temp.path() + "/log";
+  FrameLog log(options);
 
   std::map<uint64_t, std::pair<uint64_t, std::string>> retained;  // seq→frame
-  uint64_t next_seq = 1;
+  uint64_t appended = 0;
+  uint64_t sent = 0;  // Highest sequence ever sent.
   uint64_t acked = 0;
-  for (int op = 0; op < 400; ++op) {
-    if (rng.Bernoulli(0.7)) {
-      // Frame sizes straddle the budget: some runs append single frames
-      // larger than the whole window, which must spill immediately.
+  uint64_t cursor = 1;  // Next sequence SendNext hands out.
+  uint64_t appended_disk_bytes = 0;  // Each frame's record, written once.
+  auto send_one = [&]() {
+    auto more = log.SendNext([&](uint64_t seq, const std::string& frame) {
+      EXPECT_EQ(seq, cursor);
+      EXPECT_EQ(frame, retained.at(seq).second) << "seq " << seq;
+      sent = std::max(sent, seq);
+      ++cursor;
+      return Status::OK();
+    });
+    ASSERT_TRUE(more.ok()) << more.status();
+  };
+  for (int op = 0; op < 150; ++op) {
+    const uint64_t pick = rng.Uniform(10);
+    if (pick < 4) {
+      // Frame sizes straddle the cap: now and then one frame alone is
+      // larger than all retained memory may be, and must spill once sent.
+      const size_t size = rng.Bernoulli(0.05)
+                              ? kCap + 1 + rng.Uniform(64)
+                              : 1 + rng.Uniform(kCap / 8);
       std::string frame =
-          rng.NextString(1 + rng.Uniform(options.memory_capacity_bytes + 64));
+          std::to_string(appended + 1) + ":" +
+          std::string(size, static_cast<char>('a' + rng.Uniform(26)));
       const uint64_t rows = 1 + rng.Uniform(100);
-      ASSERT_TRUE(window.Append(next_seq, rows, frame).ok());
-      retained[next_seq] = {rows, std::move(frame)};
-      ++next_seq;
-    } else {
-      acked += rng.Uniform(next_seq - acked);  // Never past the last frame.
-      window.Ack(acked);
+      appended_disk_bytes += 4 + frame.size();
+      ASSERT_TRUE(log.Append(frame, rows).ok());
+      retained[++appended] = {rows, std::move(frame)};
+    } else if (pick < 8) {
+      if (cursor <= appended) send_one();
+    } else if (pick < 9) {
+      acked += rng.Uniform((sent - acked) / 2 + 1);  // Never past a send.
+      log.Ack(acked);
+      cursor = std::max(cursor, acked + 1);
       retained.erase(retained.begin(), retained.lower_bound(acked + 1));
+    } else {
+      // A reconnect: resume anywhere between the ack and the last send.
+      const uint64_t resume = acked + rng.Uniform(sent - acked + 1);
+      EXPECT_EQ(log.Rewind(static_cast<int64_t>(resume)).seq, resume);
+      cursor = resume + 1;
     }
-    ASSERT_LE(window.memory_bytes(), options.memory_capacity_bytes)
-        << "after op " << op << " (seq " << next_seq << ", acked " << acked
-        << ")";
+    ASSERT_LE(log.retained_memory_bytes(), kCap)
+        << "after op " << op << " (appended " << appended << ", sent "
+        << sent << ", acked " << acked << ")";
   }
+  log.CloseProducer();
 
+  // Resume from the ack: the whole unacked suffix comes back in order.
+  const FrameLog::ResumePoint resume = log.Rewind(-1);
+  EXPECT_EQ(resume.seq, acked);
   auto it = retained.begin();
-  uint64_t replay_rows = 0;
-  ASSERT_TRUE(window
-                  .Replay(acked,
-                          [&](uint64_t seq, uint64_t rows,
-                              const std::string& frame) {
-                            EXPECT_NE(it, retained.end());
-                            EXPECT_EQ(seq, it->first);
-                            EXPECT_EQ(rows, it->second.first);
-                            EXPECT_EQ(frame, it->second.second);
-                            replay_rows += rows;
-                            ++it;
-                            return Status::OK();
-                          })
-                  .ok());
+  uint64_t suffix_rows = 0;
+  for (;;) {
+    auto more = log.SendNext([&](uint64_t seq, const std::string& frame) {
+      EXPECT_NE(it, retained.end());
+      EXPECT_EQ(seq, it->first);
+      EXPECT_EQ(frame, it->second.second);
+      suffix_rows += it->second.first;
+      ++it;
+      return Status::OK();
+    });
+    ASSERT_TRUE(more.ok()) << more.status();
+    if (!*more) break;
+    ASSERT_LE(log.retained_memory_bytes(), kCap);
+  }
   EXPECT_EQ(it, retained.end());
-  ASSERT_TRUE(window.RowsThrough(window.last_seq()).ok());
-  EXPECT_EQ(*window.RowsThrough(window.last_seq()),
-            *window.RowsThrough(acked) + replay_rows);
+  EXPECT_EQ(log.total_rows(), resume.rows + suffix_rows);
+  const std::string spill = options.spill_path + ".spill";
+  if (std::filesystem::exists(spill)) {
+    EXPECT_LE(std::filesystem::file_size(spill), appended_disk_bytes);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ReplayWindowPropertyTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, FrameLogPropertyTest,
                          ::testing::Range<uint64_t>(0, 8));
 
 // ---------------------------------------------------------------------------

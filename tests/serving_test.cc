@@ -28,7 +28,8 @@
 #include "serving/query_server.h"
 #include "sql/engine.h"
 #include "sql/query_registry.h"
-#include "stream/spill_queue.h"
+#include "frame_log_util.h"
+#include "stream/frame_log.h"
 #include "stream/socket.h"
 
 namespace sqlink {
@@ -292,33 +293,34 @@ TEST(AdmissionTest, FromEnvParsesTenantQuota) {
 TEST(SpillBudgetTest, ExhaustedBudgetParksProducerInsteadOfSpilling) {
   ScopedTempDir temp("spill_budget_test");
   auto budget = std::make_shared<ByteBudget>(100);
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/q";
   options.spill_budget = budget;
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   const int64_t parks_before =
       MetricsRegistry::Global().GetCounter("stream.spill.budget_parks")->value();
   const std::string frame(50, 'x');  // 1 fits memory; 2 fit the 100B quota.
-  std::thread producer([&queue, &frame] {
+  std::thread producer([&log, &frame] {
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(queue.Push(frame + static_cast<char>('0' + i)).ok());
+      ASSERT_TRUE(log.Append(frame + static_cast<char>('0' + i), 1).ok());
     }
-    queue.CloseProducer();
+    log.CloseProducer();
   });
 
   // Give the producer time to hit the exhausted budget and park.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_LE(queue.spilled_frames(), 2);  // Quota held: no unbounded spill.
+  EXPECT_LE(log.spilled_frames(), 2);  // Quota held: no unbounded spill.
 
   std::vector<std::string> received;
+  std::string frame_out;
   for (;;) {
-    auto frame_out = queue.Pop();
-    ASSERT_TRUE(frame_out.ok()) << frame_out.status();
-    if (!frame_out->has_value()) break;
-    received.push_back(**frame_out);
+    auto got = PopFrame(&log, &frame_out);
+    ASSERT_TRUE(got.ok()) << got.status();
+    if (!*got) break;
+    received.push_back(frame_out);
   }
   producer.join();
 
@@ -337,24 +339,24 @@ TEST(SpillBudgetTest, ExhaustedBudgetParksProducerInsteadOfSpilling) {
 TEST(SpillBudgetTest, CancelReturnsChargeAndRemovesSpillFile) {
   ScopedTempDir temp("spill_budget_cancel");
   auto budget = std::make_shared<ByteBudget>(100);
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
+  FrameLog::Options options;
+  options.send_buffer_bytes = 64;
   options.spill_enabled = true;
   options.spill_path = temp.path() + "/q";
   options.spill_budget = budget;
-  SpillingByteQueue queue(options);
+  FrameLog log(options);
 
   const std::string frame(50, 'x');
-  ASSERT_TRUE(queue.Push(frame).ok());  // Memory.
-  ASSERT_TRUE(queue.Push(frame).ok());  // Spill: charges 50.
-  ASSERT_TRUE(queue.Push(frame).ok());  // Spill: charges 50 more.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Memory.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Spill: charges 50.
+  ASSERT_TRUE(log.Append(frame, 1).ok());  // Spill: charges 50 more.
   EXPECT_EQ(budget->used(), 100);
   ASSERT_TRUE(std::filesystem::exists(temp.path() + "/q.spill"));
 
-  queue.Cancel();
+  log.Cancel();
   EXPECT_EQ(budget->used(), 0);  // Neighbor queries get the quota back.
   EXPECT_FALSE(std::filesystem::exists(temp.path() + "/q.spill"));
-  EXPECT_TRUE(queue.Push(frame).IsCancelled());
+  EXPECT_TRUE(log.Append(frame, 1).IsCancelled());
 }
 
 // ---------------------------------------------------------------------------

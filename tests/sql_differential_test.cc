@@ -298,8 +298,11 @@ TEST_F(SqlDifferentialTest, JoinStrategiesMatchReference) {
   Random rng(99);
   for (int i = 0; i < 30; ++i) {
     const std::string table = kEventTables[rng.Uniform(5)];
+    // Every third query keys on a DOUBLE = INT64 pair, which must compare
+    // numerically (e.v = 7.0 matches d.k = 7).
+    const char* key = i % 3 == 2 ? "e.v = d.k" : "e.k = d.k";
     std::string sql = "SELECT e.k, e.s, d.label FROM " + table +
-                      " e JOIN dims d ON e.k = d.k";
+                      " e JOIN dims d ON " + key;
     if (rng.Bernoulli(0.6)) sql += " WHERE " + GenPredicate(rng, "e.", 1);
     SCOPED_TRACE(sql);
 

@@ -120,6 +120,32 @@ TEST_F(SqlEngineTest, JoinOrderIndependent) {
   EXPECT_EQ(a.size(), 5u);
 }
 
+TEST_F(SqlEngineTest, MixedTypeEquiJoinComparesNumerically) {
+  // A DOUBLE column equated with an INT64 one: 1.0 = 1 must match, under
+  // either join strategy, exactly like `X.d + 0 = C.cartid` does.
+  auto many = engine_->MakeTable(
+      "many_carts", Schema::Make({{"cartid", DataType::kInt64}}));
+  for (int64_t i = 0; i < 2000; ++i) {
+    many->AppendRow(static_cast<size_t>(i) % 4, Row{Value::Int64(i)});
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(many).ok());
+  for (const JoinStrategy strategy :
+       {JoinStrategy::kHash, JoinStrategy::kSortMerge}) {
+    engine_->set_join_strategy(strategy);
+    for (const char* predicate : {"X.d = C.cartid", "C.cartid = X.d"}) {
+      auto rows = Run(
+          std::string("SELECT COUNT(*) FROM (SELECT cartid, "
+                      "CAST_DOUBLE(cartid) AS d FROM many_carts) X, "
+                      "many_carts C WHERE ") +
+          predicate);
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows[0][0].int64_value(), 2000)
+          << predicate << " strategy " << static_cast<int>(strategy);
+    }
+  }
+  engine_->set_join_strategy(JoinStrategy::kAuto);
+}
+
 TEST_F(SqlEngineTest, ProjectionExpressions) {
   auto rows = Run(
       "SELECT amount * 2 AS dbl, UPPER(abandoned) AS ab FROM carts "

@@ -11,14 +11,16 @@
 #include "common/fs_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "common/trace.h"
 #include "sql/engine.h"
 #include "stream/coordinator.h"
-#include "stream/replay_window.h"
+#include "stream/frame_log.h"
 #include "stream/socket.h"
-#include "stream/spill_queue.h"
+#include "stream/stream_sink_udf.h"
 #include "stream/streaming_transfer.h"
 #include "stream/wire.h"
+#include "frame_log_util.h"
 
 namespace sqlink {
 namespace {
@@ -163,212 +165,248 @@ TEST(WireTest, ControlMessagesRoundTrip) {
   EXPECT_TRUE(hello2->restart);
 }
 
-// --- Spill queue ---
+// --- Frame log ---
 
-class SpillQueueTest : public ::testing::Test {
+class FrameLogTest : public ::testing::Test {
  protected:
-  ScopedTempDir temp_{"spill_test"};
+  FrameLog::Options SpillOptions(size_t send_buffer_bytes,
+                                 const std::string& name) {
+    FrameLog::Options options;
+    options.send_buffer_bytes = send_buffer_bytes;
+    options.spill_enabled = true;
+    options.spill_path = temp_.path() + "/" + name;
+    return options;
+  }
+
+  /// Sends every remaining frame without acking; returns them in order.
+  static std::vector<std::pair<uint64_t, std::string>> SendAll(FrameLog* log) {
+    std::vector<std::pair<uint64_t, std::string>> sent;
+    for (;;) {
+      auto more = log->SendNext([&](uint64_t seq, const std::string& frame) {
+        sent.emplace_back(seq, frame);
+        return Status::OK();
+      });
+      EXPECT_TRUE(more.ok()) << more.status();
+      if (!more.ok() || !*more) return sent;
+    }
+  }
+
+  ScopedTempDir temp_{"frame_log_test"};
 };
 
-TEST_F(SpillQueueTest, FifoWithinMemory) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 1 << 20;
+TEST_F(FrameLogTest, FifoWithinMemory) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 1 << 20;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push("a").ok());
-  ASSERT_TRUE(queue.Push("bb").ok());
-  queue.CloseProducer();
-  EXPECT_EQ(**queue.Pop(), "a");
-  EXPECT_EQ(**queue.Pop(), "bb");
-  EXPECT_FALSE(queue.Pop()->has_value());
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append("a", 1).ok());
+  ASSERT_TRUE(log.Append("bb", 2).ok());
+  log.CloseProducer();
+  std::string frame;
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  EXPECT_EQ(frame, "a");
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  EXPECT_EQ(frame, "bb");
+  EXPECT_FALSE(*PopFrame(&log, &frame));
+  EXPECT_EQ(log.last_seq(), 2u);
+  EXPECT_EQ(log.total_rows(), 3u);
 }
 
-TEST_F(SpillQueueTest, SpillsWhenFullAndPreservesOrder) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/spill";
-  SpillingByteQueue queue(options);
-  // Fill memory then overflow to disk with nobody consuming.
+TEST_F(FrameLogTest, SpillsWhenFullAndPreservesOrder) {
+  FrameLog log(SpillOptions(32, "spill"));
+  // Fill memory then overflow to disk with nobody sending.
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(queue.Push("frame-" + std::to_string(i)).ok());
+    ASSERT_TRUE(log.Append("frame-" + std::to_string(i), 1).ok());
   }
-  EXPECT_GT(queue.spilled_frames(), 0);
-  queue.CloseProducer();
+  EXPECT_GT(log.spilled_frames(), 0);
+  log.CloseProducer();
+  std::string frame;
   for (int i = 0; i < 50; ++i) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    ASSERT_TRUE(frame->has_value());
-    EXPECT_EQ(**frame, "frame-" + std::to_string(i));
+    auto got = PopFrame(&log, &frame);
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(*got);
+    EXPECT_EQ(frame, "frame-" + std::to_string(i));
   }
-  EXPECT_FALSE(queue.Pop()->has_value());
+  EXPECT_FALSE(*PopFrame(&log, &frame));
 }
 
-TEST_F(SpillQueueTest, ResumesMemoryAfterSpillDrained) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 16;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/spill2";
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push(std::string(10, 'a')).ok());
-  ASSERT_TRUE(queue.Push(std::string(10, 'b')).ok());  // Spills.
-  EXPECT_EQ(queue.spilled_frames(), 1);
-  EXPECT_EQ((*queue.Pop())->front(), 'a');
-  EXPECT_EQ((*queue.Pop())->front(), 'b');  // From disk.
-  // Spill drained: memory path is used again.
-  ASSERT_TRUE(queue.Push(std::string(10, 'c')).ok());
-  EXPECT_EQ(queue.spilled_frames(), 1);
-  EXPECT_EQ((*queue.Pop())->front(), 'c');
+TEST_F(FrameLogTest, UsesMemoryAgainOnceTheSendBufferHasRoom) {
+  FrameLog log(SpillOptions(16, "spill2"));
+  ASSERT_TRUE(log.Append(std::string(10, 'a'), 1).ok());
+  ASSERT_TRUE(log.Append(std::string(10, 'b'), 1).ok());  // Spills.
+  EXPECT_EQ(log.spilled_frames(), 1);
+  std::string frame;
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  EXPECT_EQ(frame.front(), 'a');
+  // 'b' is still on disk, yet 'c' fits the emptied send buffer: frames are
+  // ordered by sequence, not by where they live, so it goes to memory.
+  ASSERT_TRUE(log.Append(std::string(10, 'c'), 1).ok());
+  EXPECT_EQ(log.spilled_frames(), 1);
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  EXPECT_EQ(frame.front(), 'b');  // From disk.
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  EXPECT_EQ(frame.front(), 'c');
 }
 
-TEST_F(SpillQueueTest, BackpressureBlocksProducerUntilPop) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 8;
+TEST_F(FrameLogTest, BackpressureBlocksProducerUntilSend) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 8;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  ASSERT_TRUE(queue.Push(std::string(8, 'x')).ok());
-  std::atomic<bool> pushed{false};
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append(std::string(8, 'x'), 1).ok());
+  std::atomic<bool> appended{false};
   std::thread producer([&] {
-    ASSERT_TRUE(queue.Push(std::string(8, 'y')).ok());
-    pushed.store(true);
+    ASSERT_TRUE(log.Append(std::string(8, 'y'), 1).ok());
+    appended.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(pushed.load());  // Blocked: no room, no spill.
-  EXPECT_TRUE(queue.Pop()->has_value());
+  EXPECT_FALSE(appended.load());  // Blocked: no room, no spill.
+  std::string frame;
+  EXPECT_TRUE(*PopFrame(&log, &frame));
   producer.join();
-  EXPECT_TRUE(pushed.load());
+  EXPECT_TRUE(appended.load());
 }
 
-TEST_F(SpillQueueTest, CancelUnblocksBothSides) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 4;
+TEST_F(FrameLogTest, CancelUnblocksBothSides) {
+  FrameLog::Options options;
+  options.send_buffer_bytes = 4;
   options.spill_enabled = false;
-  SpillingByteQueue queue(options);
-  std::thread consumer([&] {
-    auto result = queue.Pop();
-    EXPECT_TRUE(result.status().IsCancelled());
+  FrameLog log(options);
+  ASSERT_TRUE(log.Append("full", 1).ok());
+  std::string frame;
+  ASSERT_TRUE(*PopFrame(&log, &frame));
+  ASSERT_TRUE(log.Append("full", 1).ok());
+  std::thread producer([&] {
+    EXPECT_TRUE(log.Append("more", 1).IsCancelled());  // Parked, then woken.
+  });
+  FrameLog empty(options);
+  std::thread sender([&] {
+    EXPECT_TRUE(PopFrame(&empty, &frame).status().IsCancelled());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  queue.Cancel();
-  consumer.join();
-  EXPECT_TRUE(queue.Push("x").IsCancelled());
+  log.Cancel();
+  empty.Cancel();
+  producer.join();
+  sender.join();
+  EXPECT_TRUE(log.Append("x", 1).IsCancelled());
 }
 
-TEST_F(SpillQueueTest, ConcurrentProducerConsumerWithSpill) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 64;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/spill3";
-  SpillingByteQueue queue(options);
+TEST_F(FrameLogTest, ConcurrentProducerSenderWithSpill) {
+  FrameLog log(SpillOptions(64, "spill3"));
   constexpr int kFrames = 2000;
   std::thread producer([&] {
     for (int i = 0; i < kFrames; ++i) {
-      ASSERT_TRUE(queue.Push("frame-" + std::to_string(i)).ok());
+      ASSERT_TRUE(log.Append("frame-" + std::to_string(i), 1).ok());
     }
-    queue.CloseProducer();
+    log.CloseProducer();
   });
   int count = 0;
+  std::string frame;
   for (;;) {
-    auto frame = queue.Pop();
-    ASSERT_TRUE(frame.ok());
-    if (!frame->has_value()) break;
-    EXPECT_EQ(**frame, "frame-" + std::to_string(count));
+    auto got = PopFrame(&log, &frame);
+    ASSERT_TRUE(got.ok());
+    if (!*got) break;
+    EXPECT_EQ(frame, "frame-" + std::to_string(count));
     ++count;
   }
   producer.join();
   EXPECT_EQ(count, kFrames);
 }
 
-TEST_F(SpillQueueTest, AbortLeavesNoSpillFilesBehind) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/abort_spill";
+TEST_F(FrameLogTest, AbortLeavesNoSpillFilesBehind) {
+  const FrameLog::Options options = SpillOptions(32, "abort_spill");
   {
-    SpillingByteQueue queue(options);
+    FrameLog log(options);
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(queue.Push(std::string(24, 'x')).ok());
+      ASSERT_TRUE(log.Append(std::string(24, 'x'), 1).ok());
     }
-    ASSERT_GT(queue.spilled_frames(), 0);
+    ASSERT_GT(log.spilled_frames(), 0);
     EXPECT_TRUE(std::filesystem::exists(options.spill_path + ".spill"));
-    // Abort mid-drain: nothing was ever popped, yet Cancel must delete the
+    // Abort mid-drain: nothing was ever sent, yet Cancel must delete the
     // on-disk backlog immediately, not wait for process exit.
-    queue.Cancel();
+    log.Cancel();
     EXPECT_FALSE(std::filesystem::exists(options.spill_path + ".spill"));
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
-TEST_F(SpillQueueTest, DestructorLeavesNoSpillFilesBehind) {
-  SpillingByteQueue::Options options;
-  options.memory_capacity_bytes = 32;
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/drop_spill";
+TEST_F(FrameLogTest, DestructorLeavesNoSpillFilesBehind) {
   {
-    SpillingByteQueue queue(options);
+    FrameLog log(SpillOptions(32, "drop_spill"));
     for (int i = 0; i < 16; ++i) {
-      ASSERT_TRUE(queue.Push(std::string(24, 'x')).ok());
+      ASSERT_TRUE(log.Append(std::string(24, 'x'), 1).ok());
     }
-    ASSERT_GT(queue.spilled_frames(), 0);
-    // No Cancel, no drain: destruction alone must clean the scratch dir.
+    ASSERT_GT(log.spilled_frames(), 0);
+    // Half sent and never acked: destruction alone must clean the dir.
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(*log.SendNext([](uint64_t, const std::string&) {
+        return Status::OK();
+      }));
+    }
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
-// --- Replay window ---
-
-class ReplayWindowTest : public ::testing::Test {
- protected:
-  ScopedTempDir temp_{"replay_window_test"};
-};
-
-TEST_F(ReplayWindowTest, ReplaysUnackedSuffixAcrossSpill) {
-  ReplayWindow::Options options;
-  options.memory_capacity_bytes = 16;  // Force the older frames to disk.
-  options.spill_enabled = true;
-  options.spill_path = temp_.path() + "/window";
-  ReplayWindow window(options);
+TEST_F(FrameLogTest, ReplaysUnackedSuffixFromMemoryAndDisk) {
+  MetricsRegistry::Global().Reset();
+  FrameLog log(SpillOptions(16, "window"));  // Frames 2.. go to disk.
   for (uint64_t seq = 1; seq <= 6; ++seq) {
-    ASSERT_TRUE(
-        window.Append(seq, /*rows=*/seq, "frame" + std::to_string(seq)).ok());
+    ASSERT_TRUE(log.Append("frame" + std::to_string(seq), seq).ok());
   }
-  EXPECT_GT(window.spilled_frames(), 0);
-  window.Ack(2);
-  EXPECT_EQ(window.acked_seq(), 2u);
-  EXPECT_EQ(*window.RowsThrough(2), 3u);   // 1 + 2
-  EXPECT_EQ(*window.RowsThrough(6), 21u);  // 1 + ... + 6
+  log.CloseProducer();
+  EXPECT_GT(log.spilled_frames(), 0);
+  EXPECT_EQ(SendAll(&log).size(), 6u);
+  log.Ack(2);
   // A reader resuming from frame 3 gets exactly 4, 5, 6 — in order, with
   // content intact whether the frame lived in memory or on disk.
-  std::vector<uint64_t> seqs;
-  std::vector<std::string> frames;
-  ASSERT_TRUE(window
-                  .Replay(3,
-                          [&](uint64_t seq, uint64_t rows,
-                              const std::string& frame) {
-                            (void)rows;
-                            seqs.push_back(seq);
-                            frames.push_back(frame);
-                            return Status::OK();
-                          })
-                  .ok());
-  EXPECT_EQ(seqs, (std::vector<uint64_t>{4, 5, 6}));
-  EXPECT_EQ(frames, (std::vector<std::string>{"frame4", "frame5", "frame6"}));
-  window.Ack(6);
-  EXPECT_EQ(window.memory_bytes(), 0u);
+  const FrameLog::ResumePoint resume = log.Rewind(3);
+  EXPECT_EQ(resume.seq, 3u);
+  EXPECT_EQ(resume.rows, 6u);  // 1 + 2 + 3
+  const auto replayed = SendAll(&log);
+  ASSERT_EQ(replayed.size(), 3u);
+  for (size_t i = 0; i < replayed.size(); ++i) {
+    EXPECT_EQ(replayed[i].first, 4 + i);
+    EXPECT_EQ(replayed[i].second, "frame" + std::to_string(4 + i));
+  }
+  EXPECT_EQ(MetricsRegistry::Global().Get("transfer.frames_replayed"), 3);
+  // The resume point never precedes the ack nor passes the last sent frame.
+  EXPECT_EQ(log.Rewind(-1).seq, 2u);
+  EXPECT_EQ(log.Rewind(1).seq, 2u);
+  EXPECT_EQ(log.Rewind(99).seq, 6u);
+  EXPECT_EQ(log.Rewind(99).rows, 21u);  // 1 + ... + 6
+  log.Ack(6);
+  EXPECT_EQ(log.retained_memory_bytes(), 0u);
 }
 
-TEST_F(ReplayWindowTest, DestructionRemovesSpillFile) {
+TEST_F(FrameLogTest, SentFramesOverflowTheRetentionCapIntoTheOneSpillFile) {
+  MetricsRegistry::Global().Reset();
+  constexpr size_t kFrameBytes = FrameLog::kRetainedMemoryBytes / 4;
   {
-    ReplayWindow::Options options;
-    options.memory_capacity_bytes = 8;
-    options.spill_enabled = true;
-    options.spill_path = temp_.path() + "/window";
-    ReplayWindow window(options);
-    for (uint64_t seq = 1; seq <= 8; ++seq) {
-      ASSERT_TRUE(window.Append(seq, 1, std::string(64, 'w')).ok());
+    FrameLog log(SpillOptions(kFrameBytes, "retain"));
+    std::vector<std::string> frames;
+    for (int i = 0; i < 6; ++i) {
+      frames.push_back(std::string(kFrameBytes, static_cast<char>('a' + i)));
+      ASSERT_TRUE(log.Append(frames.back(), 1).ok());
+      ASSERT_TRUE(*log.SendNext([](uint64_t, const std::string&) {
+        return Status::OK();
+      }));
+      EXPECT_LE(log.retained_memory_bytes(), FrameLog::kRetainedMemoryBytes);
     }
-    ASSERT_GT(window.spilled_frames(), 0);
-    // Never acked, never replayed: an aborted transfer drops the window.
+    log.CloseProducer();
+    EXPECT_EQ(log.spilled_frames(), 0);  // Nothing overflowed the send buffer.
+    EXPECT_EQ(log.retention_spilled_frames(), 2);  // 6 x 1/4 cap: 2 overflow.
+    EXPECT_EQ(MetricsRegistry::Global().Get("stream.replay_window.spilled_frames"),
+              2);
+    // One file per channel, each overflowed frame written once.
+    EXPECT_EQ(std::filesystem::file_size(temp_.path() + "/retain.spill"),
+              2 * (4 + kFrameBytes));
+    log.Rewind(0);
+    const auto replayed = SendAll(&log);
+    ASSERT_EQ(replayed.size(), frames.size());
+    for (size_t i = 0; i < frames.size(); ++i) {
+      EXPECT_EQ(replayed[i].second, frames[i]) << "frame " << i;
+    }
+    // Never acked, never finished: an aborted transfer drops the log.
   }
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
@@ -515,14 +553,22 @@ TEST_F(StreamingTransferTest, RecoversWithMultipleSplitsPerWorker) {
 
 TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
   StreamTransferOptions options;
-  options.sink.resilient = true;
-  options.sink.reconnect_timeout_ms = 300;  // Keep the failing run fast.
+  options.sink.resilient = true;  // Default 30 s reconnect window.
   options.reader.recovery_enabled = true;
   options.reader.max_reconnects = 0;  // Recovery enabled but exhausted.
   ScopedFailpoint fault("stream.reader.row.split0", "error(1)");
+  Stopwatch timer;
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
-  EXPECT_FALSE(result.ok());
+  ASSERT_FALSE(result.ok());
+  // Without heartbeats no replacement reader comes, so the job aborts the
+  // transfer and the sink waiting for split 0's reconnect ends at once with
+  // the typed status instead of sleeping out its reconnect window.
+  EXPECT_LT(timer.ElapsedMicros(), 5000 * 1000);
+  EXPECT_TRUE(result.status().IsAborted() ||
+              result.status().message().find("injected connection failure") !=
+                  std::string::npos)
+      << result.status();
 }
 
 TEST_F(StreamingTransferTest, FailureWithoutRecoveryFailsThePipeline) {
@@ -532,6 +578,18 @@ TEST_F(StreamingTransferTest, FailureWithoutRecoveryFailsThePipeline) {
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
   EXPECT_FALSE(result.ok());
+}
+
+TEST_F(StreamingTransferTest, SinkRejectsAnExtraTrailingArgument) {
+  SqlStreamSinkUdf sink;
+  std::vector<Value> args = {Value::String("localhost"), Value::Int64(1),
+                             Value::String("svm"),       Value::Int64(4096),
+                             Value::Int64(1),            Value::Int64(0),
+                             Value::Int64(1000),         Value::Int64(0)};
+  ASSERT_TRUE(sink.Bind(SqlStreamSinkUdf::SummarySchema(), args).ok());
+  args.push_back(Value::Int64(1 << 20));
+  EXPECT_TRUE(
+      sink.Bind(SqlStreamSinkUdf::SummarySchema(), args).status().IsInvalidArgument());
 }
 
 TEST_F(StreamingTransferTest, BadQuerySurfacesSqlError) {

@@ -2,7 +2,6 @@
 
 #include "table/csv.h"
 #include "table/pretty_print.h"
-#include "table/record_batch.h"
 #include "table/row_codec.h"
 #include "table/schema.h"
 #include "table/table.h"
@@ -210,15 +209,6 @@ TEST(PrettyPrintTest, LongStringsTruncated) {
   options.max_column_width = 10;
   const std::string out = PrettyPrintTable(table, options);
   EXPECT_NE(out.find("zzzzzzz..."), std::string::npos) << out;
-}
-
-TEST(RecordBatchTest, AppendAndRead) {
-  auto schema = Schema::Make({{"x", DataType::kInt64}});
-  RecordBatch batch(schema, {});
-  batch.Append(Row{Value::Int64(1)});
-  batch.Append(Row{Value::Int64(2)});
-  EXPECT_EQ(batch.num_rows(), 2u);
-  EXPECT_EQ(batch.rows()[1][0], Value::Int64(2));
 }
 
 }  // namespace
