@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
-# Three-stage CI entry point: fast unit suite first, fault-injection chaos
+# Four-stage CI entry point: fast unit suite first, fault-injection chaos
 # suite second (so a broken build fails in seconds instead of after the
 # slow chaos runs), then a ThreadSanitizer rebuild of both suites — the
 # coordinator reaper, heartbeat senders, and replay machinery are
-# concurrent, so every run is race-checked.
+# concurrent, so every run is race-checked — and last an AddressSanitizer
+# build of the storage and SQL suites, whose gather, hash-index and
+# permutation code is index-heavy and which TSan does not bounds-check.
 #
 # Usage:
 #   ci/run_tests.sh                 # build + unit + chaos + TSan pass
 #   SQLINK_SANITIZE=address ci/run_tests.sh   # swap TSan for ASan
-#   SQLINK_SANITIZE=none ci/run_tests.sh      # skip the sanitizer stage
+#   SQLINK_SANITIZE=none ci/run_tests.sh      # skip the sanitizer stages
 #
 # Environment:
 #   BUILD_DIR        build directory (default: build)
 #   SQLINK_SANITIZE  thread|address|undefined|none — sanitizer for stage 3,
 #                    in a separate build dir (${BUILD_DIR}-${SQLINK_SANITIZE});
-#                    defaults to thread, "none" disables the stage
+#                    defaults to thread, "none" disables stages 3 and 4
 #   CTEST_PARALLEL   parallel test jobs (default: nproc)
 
 set -euo pipefail
@@ -195,6 +197,15 @@ if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   cmake -B "${SAN_DIR}" -S . -DSQLINK_SANITIZE="${SQLINK_SANITIZE}"
   cmake --build "${SAN_DIR}" -j "${JOBS}"
   run_suites "${SAN_DIR}"
+
+  ASAN_DIR="${BUILD_DIR}-asan-sql"
+  ASAN_TESTS=(table_test sql_engine_test sql_differential_test property_test)
+  echo "==> stage 4: AddressSanitizer pass over the storage and SQL suites"
+  cmake -B "${ASAN_DIR}" -S . -DSQLINK_SANITIZE=address
+  cmake --build "${ASAN_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
+  for test in "${ASAN_TESTS[@]}"; do
+    "${ASAN_DIR}/tests/${test}"
+  done
 fi
 
 echo "==> all stages passed"

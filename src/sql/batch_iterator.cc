@@ -4,30 +4,17 @@
 
 namespace sqlink {
 
-Result<bool> RowVectorBatchIterator::Next(ColumnBatch* out) {
-  const size_t total = rows_->size();
-  if (pos_ >= total) return false;
-  const size_t take = std::min(kSqlBatchRows, total - pos_);
-  out->Reset(schema_);
-  out->Reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    RETURN_IF_ERROR(out->AppendRow((*rows_)[pos_ + i]));
-  }
-  pos_ += take;
-  return true;
-}
-
 Result<bool> BatchToRowIterator::Next(Row* row) {
-  while (pos_ >= batch_.num_rows()) {
+  while (batch_ == nullptr || pos_ >= batch_->num_rows()) {
     if (done_) return false;
-    ASSIGN_OR_RETURN(bool has, child_->Next(&batch_));
+    ASSIGN_OR_RETURN(bool has, child_->NextView(&scratch_, &batch_));
     if (!has) {
       done_ = true;
       return false;
     }
     pos_ = 0;
   }
-  batch_.EmitRow(pos_++, row);
+  batch_->EmitRow(pos_++, row);
   return true;
 }
 

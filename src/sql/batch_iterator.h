@@ -10,12 +10,6 @@
 
 namespace sqlink {
 
-/// Rows per ColumnBatch in the vectorized SQL pipelines: large enough to
-/// amortize the per-batch virtual dispatch, small enough to stay cache
-/// resident. Also the batch-boundary size the golden-query corpus probes
-/// (sizes 0, 1, kSqlBatchRows-1, kSqlBatchRows, kSqlBatchRows+1).
-inline constexpr size_t kSqlBatchRows = 1024;
-
 /// Pull-based columnar operator interface, the execution interface between
 /// physical operators within one worker's pipeline: Next fills `*out`
 /// (contents replaced) with the next batch and returns false at end of
@@ -24,21 +18,50 @@ class BatchIterator {
  public:
   virtual ~BatchIterator() = default;
   virtual Result<bool> Next(ColumnBatch* out) = 0;
+
+  /// Next for consumers that only read the batch: points `*view` at it,
+  /// valid until the following call. A leaf over stored batches (a table
+  /// scan) hands out its own batches without copying them; every other
+  /// iterator fills `*scratch` through Next.
+  virtual Result<bool> NextView(ColumnBatch* scratch,
+                                const ColumnBatch** view) {
+    *view = scratch;
+    return Next(scratch);
+  }
 };
 
 using BatchIteratorPtr = std::unique_ptr<BatchIterator>;
 
-/// Scan leaf: slices a materialized row partition into batches. Borrows the
-/// rows — the caller keeps them alive for the iterator's lifetime.
-class RowVectorBatchIterator final : public BatchIterator {
+/// Scan leaf over stored batches (a table partition's chunks, a
+/// materialized intermediate result). Borrows the batches — the caller
+/// keeps them alive for the iterator's lifetime. Empty batches are skipped.
+class BatchListIterator final : public BatchIterator {
  public:
-  RowVectorBatchIterator(const std::vector<Row>* rows, SchemaPtr schema)
-      : rows_(rows), schema_(std::move(schema)) {}
-  Result<bool> Next(ColumnBatch* out) override;
+  explicit BatchListIterator(const std::vector<ColumnBatch>* batches)
+      : batches_(batches) {}
+
+  Result<bool> Next(ColumnBatch* out) override {
+    const ColumnBatch* view = nullptr;
+    if (!NextStored(&view)) return false;
+    *out = *view;
+    return true;
+  }
+  Result<bool> NextView(ColumnBatch*, const ColumnBatch** view) override {
+    return NextStored(view);
+  }
 
  private:
-  const std::vector<Row>* rows_;
-  SchemaPtr schema_;
+  bool NextStored(const ColumnBatch** view) {
+    while (pos_ < batches_->size()) {
+      const ColumnBatch& batch = (*batches_)[pos_++];
+      if (batch.empty()) continue;
+      *view = &batch;
+      return true;
+    }
+    return false;
+  }
+
+  const std::vector<ColumnBatch>* batches_;
   size_t pos_ = 0;
 };
 
@@ -58,7 +81,8 @@ class BatchToRowIterator {
 
  private:
   BatchIterator* child_;  // Borrowed.
-  ColumnBatch batch_;
+  ColumnBatch scratch_;
+  const ColumnBatch* batch_ = nullptr;  ///< The child's batch or scratch_.
   size_t pos_ = 0;
   bool done_ = false;
 };

@@ -45,41 +45,95 @@ uint64_t ColumnCellHash(const Column& c, size_t row) {
 
 }  // namespace
 
-uint64_t BatchRowHash(const ColumnBatch& batch, size_t row) {
-  uint64_t h = 0;
-  for (size_t c = 0; c < batch.num_columns(); ++c) {
-    h = Mix(h, ColumnCellHash(batch.column(c), row));
-  }
-  return h;
-}
-
-bool BatchRowsEqual(const ColumnBatch& a, size_t ra, const ColumnBatch& b,
-                    size_t rb) {
-  if (a.num_columns() != b.num_columns()) return false;
-  for (size_t c = 0; c < a.num_columns(); ++c) {
-    const Column& ca = a.column(c);
-    const Column& cb = b.column(c);
-    const bool na = ca.IsNull(ra);
-    const bool nb = cb.IsNull(rb);
-    if (na != nb) return false;
-    if (na) continue;
-    if (ca.type != cb.type) return false;
-    switch (ca.type) {
+void HashColumns(const std::vector<const Column*>& columns, size_t n,
+                 std::vector<uint64_t>* hashes) {
+  hashes->assign(n, 0);
+  uint64_t* h = hashes->data();
+  for (const Column* col : columns) {
+    if (col->has_nulls() || col->type == DataType::kString) {
+      for (size_t r = 0; r < n; ++r) h[r] = Mix(h[r], ColumnCellHash(*col, r));
+      continue;
+    }
+    // Null-free fixed-width columns: the same hashes, without the per-row
+    // null test and type dispatch.
+    switch (col->type) {
       case DataType::kBool:
-        if ((ca.bools[ra] != 0) != (cb.bools[rb] != 0)) return false;
+        for (size_t r = 0; r < n; ++r) h[r] = Mix(h[r], col->bools[r] != 0);
         break;
       case DataType::kInt64:
-        if (ca.ints[ra] != cb.ints[rb]) return false;
+        for (size_t r = 0; r < n; ++r) {
+          h[r] = Mix(h[r], std::hash<int64_t>{}(col->ints[r]));
+        }
         break;
       case DataType::kDouble:
-        if (ca.doubles[ra] != cb.doubles[rb]) return false;
+        for (size_t r = 0; r < n; ++r) {
+          const double d = col->doubles[r];
+          h[r] = Mix(h[r], d == 0.0 ? 0 : std::hash<double>{}(d));
+        }
         break;
       case DataType::kString:
-        if (ca.dict[ca.codes[ra]] != cb.dict[cb.codes[rb]]) return false;
         break;
     }
   }
-  return true;
+}
+
+bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
+  const bool na = a.IsNull(ra);
+  const bool nb = b.IsNull(rb);
+  if (na || nb) return na && nb;
+  if (a.type != b.type) return false;
+  switch (a.type) {
+    case DataType::kBool:
+      return (a.bools[ra] != 0) == (b.bools[rb] != 0);
+    case DataType::kInt64:
+      return a.ints[ra] == b.ints[rb];
+    case DataType::kDouble:
+      return a.doubles[ra] == b.doubles[rb];
+    case DataType::kString:
+      return a.dict[a.codes[ra]] == b.dict[b.codes[rb]];
+  }
+  return false;
+}
+
+namespace {
+
+template <typename T>
+int ThreeWay(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+
+}  // namespace
+
+int CompareCells(const Column& a, size_t ra, const Column& b, size_t rb) {
+  const bool na = a.IsNull(ra);
+  const bool nb = b.IsNull(rb);
+  if (na || nb) return na ? (nb ? 0 : -1) : 1;
+  if (a.type != b.type) {
+    auto numeric = [](DataType t) {
+      return t == DataType::kInt64 || t == DataType::kDouble;
+    };
+    if (!numeric(a.type) || !numeric(b.type)) {
+      return ThreeWay(static_cast<int>(a.type), static_cast<int>(b.type));
+    }
+    const double x = a.type == DataType::kInt64
+                         ? static_cast<double>(a.ints[ra])
+                         : a.doubles[ra];
+    const double y = b.type == DataType::kInt64
+                         ? static_cast<double>(b.ints[rb])
+                         : b.doubles[rb];
+    return ThreeWay(x, y);
+  }
+  switch (a.type) {
+    case DataType::kBool:
+      return ThreeWay(a.bools[ra] != 0, b.bools[rb] != 0);
+    case DataType::kInt64:
+      return ThreeWay(a.ints[ra], b.ints[rb]);
+    case DataType::kDouble:
+      return ThreeWay(a.doubles[ra], b.doubles[rb]);
+    case DataType::kString:
+      return ThreeWay(a.dict[a.codes[ra]], b.dict[b.codes[rb]]);
+  }
+  return 0;
 }
 
 }  // namespace sqlink

@@ -15,16 +15,22 @@ namespace sqlink {
 void FilterToSelection(const Column& pred, size_t num_rows,
                        std::vector<int32_t>* sel);
 
-/// Hash of one batch row, equal for rows BatchRowsEqual deems equal even
-/// across batches with different dictionaries (string values hash by
-/// content, NULLs by a fixed constant, +/-0.0 alike). Internally consistent
-/// only — not comparable with HashRowKey on boxed rows.
-uint64_t BatchRowHash(const ColumnBatch& batch, size_t row);
+/// Hashes rows [0, n) over `columns` (each holding at least n rows) into
+/// `*hashes` (resized to n), column at a time. Rows whose cells are
+/// pairwise CellsEqual hash equal, even across columns with different
+/// dictionaries (strings hash by content, NULLs by a fixed constant, +/-0.0
+/// alike). Internally consistent only — not comparable with Value::Hash.
+void HashColumns(const std::vector<const Column*>& columns, size_t n,
+                 std::vector<uint64_t>* hashes);
 
-/// Exact row equality across batches of the same schema: NULL == NULL, and
-/// non-null values compare by typed payload (dictionary strings by content).
-bool BatchRowsEqual(const ColumnBatch& a, size_t ra, const ColumnBatch& b,
-                    size_t rb);
+/// Typed equality of two cells: NULL equals NULL, strings compare by
+/// content, cells of different types are unequal (as boxed Value ==).
+bool CellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
+
+/// Three-way compare of two cells in Value's total order: NULL first, int64
+/// and double numerically across types, other type pairs by type, then by
+/// value.
+int CompareCells(const Column& a, size_t ra, const Column& b, size_t rb);
 
 }  // namespace sqlink
 

@@ -1,5 +1,7 @@
 #include "sql/catalog.h"
 
+#include <functional>
+#include <string_view>
 #include <unordered_set>
 
 #include "common/string_util.h"
@@ -8,13 +10,11 @@ namespace sqlink {
 
 namespace {
 
-/// In-memory payload size proxy for one value (cost-model currency, not an
-/// exact allocator accounting).
-double ValueBytes(const Value& v) {
-  if (v.is_string()) return 16.0 + static_cast<double>(v.string_value().size());
-  return 16.0;
-}
-
+/// Column statistics over a table's stored chunks, read in place. The
+/// distinct-value estimate counts distinct Value::Hash() values, so each
+/// typed cell hashes exactly as its boxed Value would; the byte proxy (the
+/// cost-model currency, not an exact allocator accounting) is 16 per value
+/// plus a string's length.
 TableStatsPtr ComputeStats(const Table& table) {
   auto stats = std::make_shared<TableStats>();
   const size_t width =
@@ -24,17 +24,44 @@ TableStatsPtr ComputeStats(const Table& table) {
   std::vector<double> nulls(width, 0);
   std::vector<double> bytes(width, 0);
   double rows = 0;
+  std::vector<char> seen_codes;
   for (size_t p = 0; p < table.num_partitions(); ++p) {
-    for (const Row& row : table.partition(p)) {
-      rows += 1;
-      for (size_t c = 0; c < width && c < row.size(); ++c) {
-        const Value& v = row[c];
-        if (v.is_null()) {
-          nulls[c] += 1;
-          continue;
+    for (const ColumnBatch& chunk : table.batches(p)) {
+      const size_t n = chunk.num_rows();
+      rows += static_cast<double>(n);
+      for (size_t c = 0; c < width; ++c) {
+        const Column& col = chunk.column(c);
+        if (col.type == DataType::kString) {
+          seen_codes.assign(static_cast<size_t>(col.dict.size()), 0);
         }
-        hashes[c].insert(v.Hash());
-        bytes[c] += ValueBytes(v);
+        for (size_t r = 0; r < n; ++r) {
+          if (col.IsNull(r)) {
+            nulls[c] += 1;
+            continue;
+          }
+          bytes[c] += 16.0;
+          switch (col.type) {
+            case DataType::kBool:
+              hashes[c].insert(std::hash<bool>()(col.bools[r] != 0));
+              break;
+            case DataType::kInt64:
+              hashes[c].insert(std::hash<int64_t>()(col.ints[r]));
+              break;
+            case DataType::kDouble:
+              hashes[c].insert(std::hash<double>()(col.doubles[r]));
+              break;
+            case DataType::kString: {
+              const auto code = static_cast<size_t>(col.codes[r]);
+              const std::string_view value = col.dict[col.codes[r]];
+              bytes[c] += static_cast<double>(value.size());
+              if (seen_codes[code] == 0) {
+                seen_codes[code] = 1;
+                hashes[c].insert(std::hash<std::string_view>()(value));
+              }
+              break;
+            }
+          }
+        }
       }
     }
   }

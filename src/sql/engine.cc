@@ -107,11 +107,10 @@ TablePtr SqlEngine::MakePlanTextTable(const std::string& text,
   auto table = std::make_shared<Table>(
       result_name, Schema::Make({{"plan", DataType::kString}}),
       static_cast<size_t>(num_workers_));
-  std::vector<Row>& rows = table->mutable_partition(0);
   std::istringstream lines(text);
   std::string line;
   while (std::getline(lines, line)) {
-    rows.push_back(Row{Value::String(line)});
+    table->AppendRow(0, Row{Value::String(line)});
   }
   return table;
 }
@@ -179,7 +178,7 @@ Result<TablePtr> SqlEngine::RunTracked(const PlanPtr& plan,
   Gauge* active = metrics_->GetGauge("sql.queries_active");
   active->Add(1);
   Stopwatch timer;
-  Result<PartitionedRows> rows = executor.Execute(plan);
+  Result<WorkerBatches> rows = executor.Execute(plan);
   const int64_t duration_micros = timer.ElapsedMicros();
   active->Add(-1);
   metrics_->GetHistogram("sql.query_micros")->Record(duration_micros);
@@ -196,12 +195,14 @@ Result<TablePtr> SqlEngine::RunTracked(const PlanPtr& plan,
     span.SetError();
     return rows.status();
   }
-  span.AddAttribute("rows", static_cast<int64_t>(rows->TotalRows()));
+  span.AddAttribute("rows", static_cast<int64_t>(TotalRows(*rows)));
 
-  auto table = std::make_shared<Table>(result_name, rows->schema,
-                                       rows->partitions.size());
-  for (size_t p = 0; p < rows->partitions.size(); ++p) {
-    table->mutable_partition(p) = std::move(rows->partitions[p]);
+  auto table = std::make_shared<Table>(result_name, plan->output_schema,
+                                       rows->size());
+  for (size_t p = 0; p < rows->size(); ++p) {
+    for (ColumnBatch& batch : (*rows)[p]) {
+      RETURN_IF_ERROR(table->AppendBatch(p, std::move(batch)));
+    }
   }
   return table;
 }

@@ -1,8 +1,8 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <mutex>
+#include <numeric>
 #include <thread>
 #include <unordered_map>
 
@@ -16,6 +16,14 @@
 #include "sql/batch_kernels.h"
 
 namespace sqlink {
+
+size_t TotalRows(const WorkerBatches& batches) {
+  size_t total = 0;
+  for (const std::vector<ColumnBatch>& worker : batches) {
+    for (const ColumnBatch& batch : worker) total += batch.num_rows();
+  }
+  return total;
+}
 
 namespace {
 
@@ -31,60 +39,157 @@ Status ParallelWorkers(int n, const std::function<Status(int)>& fn) {
   return Status::OK();
 }
 
-bool RowKeyEquals(const Row& a, const std::vector<int>& a_keys, const Row& b,
-                  const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    if (a[static_cast<size_t>(a_keys[i])] !=
-        b[static_cast<size_t>(b_keys[i])]) {
-      return false;
-    }
+/// Every batch of every worker, in worker order.
+std::vector<ColumnBatch> Flatten(WorkerBatches batches) {
+  std::vector<ColumnBatch> all;
+  for (std::vector<ColumnBatch>& worker : batches) {
+    for (ColumnBatch& batch : worker) all.push_back(std::move(batch));
   }
-  return true;
+  return all;
 }
 
-bool HasNullKey(const Row& row, const std::vector<int>& keys) {
-  for (int k : keys) {
-    if (row[static_cast<size_t>(k)].is_null()) return true;
+/// `batches` as one batch of `schema`'s column types: a lone non-empty
+/// batch is moved, several are appended in order.
+Result<ColumnBatch> Concat(const SchemaPtr& schema,
+                           std::vector<ColumnBatch> batches) {
+  ColumnBatch* only = nullptr;
+  size_t nonempty = 0;
+  size_t total = 0;
+  for (ColumnBatch& batch : batches) {
+    if (batch.empty()) continue;
+    only = &batch;
+    ++nonempty;
+    total += batch.num_rows();
+  }
+  if (nonempty == 1) return std::move(*only);
+  ColumnBatch out(schema);
+  out.Reserve(total);
+  for (const ColumnBatch& batch : batches) {
+    if (!batch.empty()) RETURN_IF_ERROR(out.AppendBatch(batch));
+  }
+  return out;
+}
+
+/// The columns of `batch` at `indices`.
+std::vector<const Column*> KeyColumns(const ColumnBatch& batch,
+                                      const std::vector<int>& indices) {
+  std::vector<const Column*> columns;
+  columns.reserve(indices.size());
+  for (const int index : indices) {
+    columns.push_back(&batch.column(static_cast<size_t>(index)));
+  }
+  return columns;
+}
+
+bool AnyNull(const std::vector<const Column*>& columns, size_t row) {
+  for (const Column* column : columns) {
+    if (column->IsNull(row)) return true;
   }
   return false;
 }
 
-/// Build-side hash table of an equi join. With no keys (cross join) every
-/// row lands in one bucket.
+bool KeysEqual(const std::vector<const Column*>& a, size_t ra,
+               const std::vector<const Column*>& b, size_t rb) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    if (!CellsEqual(*a[k], ra, *b[k], rb)) return false;
+  }
+  return true;
+}
+
+/// Lexicographic three-way compare of two rows' key cells in Value's
+/// cross-numeric, NULL-first order.
+int CompareKeys(const std::vector<const Column*>& a, size_t ra,
+                const std::vector<const Column*>& b, size_t rb) {
+  for (size_t k = 0; k < a.size(); ++k) {
+    const int cmp = CompareCells(*a[k], ra, *b[k], rb);
+    if (cmp != 0) return cmp;
+  }
+  return 0;
+}
+
+/// Scrambles a key hash before it picks a hash-table slot or a shuffle
+/// target (the murmur3 finalizer): HashColumns keeps an int64 key's low
+/// bits, so strided keys would otherwise pile into a few slots.
+inline uint64_t Scramble(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// Build side of a hash equi join: the build rows as one ColumnBatch plus a
+/// chained hash index over its key columns (a head per bucket, a link per
+/// row). NULL keys never match; with no keys (cross join) every build row
+/// matches every probe row.
 class JoinHashTable {
  public:
-  JoinHashTable(std::vector<Row> rows, std::vector<int> keys)
-      : rows_(std::move(rows)), keys_(std::move(keys)) {
-    buckets_.reserve(rows_.size());
-    for (size_t i = 0; i < rows_.size(); ++i) {
-      if (HasNullKey(rows_[i], keys_)) continue;  // NULL keys never match.
-      buckets_[HashRowKey(rows_[i], keys_)].push_back(i);
+  JoinHashTable(ColumnBatch build, std::vector<int> keys)
+      : build_(std::move(build)), keys_(std::move(keys)) {
+    if (keys_.empty()) return;
+    const size_t n = build_.num_rows();
+    const std::vector<const Column*> columns = KeyColumns(build_, keys_);
+    HashColumns(columns, n, &hashes_);
+    size_t buckets = 1;
+    while (buckets < 2 * n) buckets <<= 1;
+    mask_ = buckets - 1;
+    heads_.assign(buckets, -1);
+    next_.assign(n, -1);
+    // Linked back to front, so each chain lists its rows in build order.
+    for (size_t r = n; r-- > 0;) {
+      if (AnyNull(columns, r)) continue;
+      int32_t& head = heads_[Scramble(hashes_[r]) & mask_];
+      next_[r] = head;
+      head = static_cast<int32_t>(r);
     }
   }
 
-  /// Invokes fn(build_index) for every build row matching the probe key;
-  /// the join gathers matched build rows out of a pre-built ColumnBatch
-  /// instead of boxing them.
-  template <typename Fn>
-  void ProbeIndices(const Row& probe, const std::vector<int>& probe_keys,
-                    Fn&& fn) const {
-    if (HasNullKey(probe, probe_keys)) return;
-    auto it = buckets_.find(HashRowKey(probe, probe_keys));
-    if (it == buckets_.end()) return;
-    for (size_t index : it->second) {
-      if (RowKeyEquals(probe, probe_keys, rows_[index], keys_)) {
-        fn(index);
+  const ColumnBatch& batch() const { return build_; }
+  size_t num_rows() const { return build_.num_rows(); }
+
+  /// Appends (probe row, build row) to the selection vectors for every
+  /// match of every row of `probe`, in probe order. `hashes` is scratch.
+  void Probe(const ColumnBatch& probe, const std::vector<int>& probe_keys,
+             std::vector<uint64_t>* hashes, std::vector<int32_t>* probe_sel,
+             std::vector<int32_t>* build_sel) const {
+    const size_t n = probe.num_rows();
+    if (keys_.empty()) {
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t b = 0; b < num_rows(); ++b) {
+          probe_sel->push_back(static_cast<int32_t>(r));
+          build_sel->push_back(static_cast<int32_t>(b));
+        }
+      }
+      return;
+    }
+    if (num_rows() == 0) return;
+    const std::vector<const Column*> probe_columns =
+        KeyColumns(probe, probe_keys);
+    const std::vector<const Column*> build_columns = KeyColumns(build_, keys_);
+    HashColumns(probe_columns, n, hashes);
+    for (size_t r = 0; r < n; ++r) {
+      if (AnyNull(probe_columns, r)) continue;
+      const uint64_t h = (*hashes)[r];
+      for (int32_t b = heads_[Scramble(h) & mask_]; b >= 0;
+           b = next_[static_cast<size_t>(b)]) {
+        if (hashes_[static_cast<size_t>(b)] == h &&
+            KeysEqual(probe_columns, r, build_columns,
+                      static_cast<size_t>(b))) {
+          probe_sel->push_back(static_cast<int32_t>(r));
+          build_sel->push_back(b);
+        }
       }
     }
   }
 
-  const std::vector<Row>& rows() const { return rows_; }
-  size_t num_rows() const { return rows_.size(); }
-
  private:
-  std::vector<Row> rows_;
+  ColumnBatch build_;
   std::vector<int> keys_;
-  std::unordered_map<size_t, std::vector<size_t>> buckets_;
+  std::vector<uint64_t> hashes_;  ///< Key hash per build row.
+  std::vector<int32_t> heads_;    ///< First build row per bucket, or -1.
+  std::vector<int32_t> next_;     ///< Next build row in the chain, or -1.
+  uint64_t mask_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -95,7 +200,7 @@ constexpr size_t kUdfQueueCapacity = 4096;
 
 /// Vectorized filter: evaluates the predicate column-at-a-time, compacts
 /// surviving rows through a selection vector. Batches where every row
-/// passes are moved through untouched.
+/// passes go through whole.
 class VectorizedFilterIterator final : public BatchIterator {
  public:
   VectorizedFilterIterator(BatchIteratorPtr child, BoundExprPtr predicate)
@@ -103,19 +208,23 @@ class VectorizedFilterIterator final : public BatchIterator {
 
   Result<bool> Next(ColumnBatch* out) override {
     for (;;) {
-      ASSIGN_OR_RETURN(bool has, child_->Next(&input_));
+      const ColumnBatch* input = nullptr;
+      ASSIGN_OR_RETURN(bool has, child_->NextView(&scratch_, &input));
       if (!has) return false;
-      Column pred;
-      RETURN_IF_ERROR(predicate_->EvaluateBatch(input_, &pred));
-      sel_.clear();
-      FilterToSelection(pred, input_.num_rows(), &sel_);
+      ASSIGN_OR_RETURN(const Column* pred,
+                       EvaluateBatchInPlace(*predicate_, *input, &pred_));
+      FilterToSelection(*pred, input->num_rows(), &sel_);
       if (sel_.empty()) continue;
-      if (sel_.size() == input_.num_rows()) {
-        *out = std::move(input_);
+      if (sel_.size() == input->num_rows()) {
+        if (input == &scratch_) {
+          *out = std::move(scratch_);
+        } else {
+          *out = *input;
+        }
         return true;
       }
-      out->Reset(input_.schema());
-      RETURN_IF_ERROR(out->AppendGather(input_, sel_.data(), sel_.size()));
+      out->Reset(input->schema());
+      RETURN_IF_ERROR(out->AppendGather(*input, sel_.data(), sel_.size()));
       return true;
     }
   }
@@ -123,7 +232,8 @@ class VectorizedFilterIterator final : public BatchIterator {
  private:
   BatchIteratorPtr child_;
   BoundExprPtr predicate_;
-  ColumnBatch input_;
+  ColumnBatch scratch_;
+  Column pred_;
   std::vector<int32_t> sel_;
 };
 
@@ -138,15 +248,16 @@ class VectorizedProjectIterator final : public BatchIterator {
         output_schema_(std::move(output_schema)) {}
 
   Result<bool> Next(ColumnBatch* out) override {
-    ASSIGN_OR_RETURN(bool has, child_->Next(&input_));
+    const ColumnBatch* input = nullptr;
+    ASSIGN_OR_RETURN(bool has, child_->NextView(&scratch_, &input));
     if (!has) return false;
     out->Reset(output_schema_);
     for (size_t i = 0; i < exprs_->size(); ++i) {
       Column col;
-      RETURN_IF_ERROR((*exprs_)[i]->EvaluateBatch(input_, &col));
+      RETURN_IF_ERROR((*exprs_)[i]->EvaluateBatch(*input, &col));
       out->column(i) = std::move(col);
     }
-    out->SetRowCountForDecode(input_.num_rows());
+    out->SetRowCountForDecode(input->num_rows());
     return true;
   }
 
@@ -154,60 +265,44 @@ class VectorizedProjectIterator final : public BatchIterator {
   BatchIteratorPtr child_;
   const std::vector<BoundExprPtr>* exprs_;
   SchemaPtr output_schema_;
-  ColumnBatch input_;
+  ColumnBatch scratch_;
 };
 
-/// Vectorized probe side of the hash join: per probe row only the key
-/// values are boxed; matched pairs are assembled by gathering probe columns
-/// and build columns (from the Prepare-built build batch), and the residual
-/// runs vectorized over the assembled batch.
+/// Vectorized probe side of the hash join: probe keys hash column-at-a-time
+/// against the build index; matched pairs are assembled by gathering probe
+/// columns and build columns, and the residual runs vectorized over the
+/// assembled batch.
 class VectorizedHashJoinIterator final : public BatchIterator {
  public:
   VectorizedHashJoinIterator(BatchIteratorPtr probe,
                              std::shared_ptr<const JoinHashTable> table,
-                             std::shared_ptr<const ColumnBatch> build_batch,
                              const std::vector<int>* probe_keys,
                              BoundExprPtr residual, SchemaPtr output_schema)
       : probe_(std::move(probe)),
         table_(std::move(table)),
-        build_batch_(std::move(build_batch)),
         probe_keys_(probe_keys),
         residual_(std::move(residual)),
-        output_schema_(std::move(output_schema)) {
-    identity_keys_.resize(probe_keys_->size());
-    for (size_t i = 0; i < identity_keys_.size(); ++i) {
-      identity_keys_[i] = static_cast<int>(i);
-    }
-  }
+        output_schema_(std::move(output_schema)) {}
 
   Result<bool> Next(ColumnBatch* out) override {
     for (;;) {
-      ASSIGN_OR_RETURN(bool has, probe_->Next(&input_));
+      const ColumnBatch* input = nullptr;
+      ASSIGN_OR_RETURN(bool has, probe_->NextView(&scratch_, &input));
       if (!has) return false;
-      const size_t n = input_.num_rows();
       probe_sel_.clear();
       build_sel_.clear();
-      Row key;
-      for (size_t r = 0; r < n; ++r) {
-        key.clear();
-        for (int k : *probe_keys_) {
-          key.push_back(input_.ValueAt(r, static_cast<size_t>(k)));
-        }
-        table_->ProbeIndices(key, identity_keys_, [&](size_t build_index) {
-          probe_sel_.push_back(static_cast<int32_t>(r));
-          build_sel_.push_back(static_cast<int32_t>(build_index));
-        });
-      }
+      table_->Probe(*input, *probe_keys_, &hashes_, &probe_sel_, &build_sel_);
       if (probe_sel_.empty()) continue;
+      const ColumnBatch& build = table_->batch();
       joined_.Reset(output_schema_);
-      const size_t probe_width = input_.num_columns();
+      const size_t probe_width = input->num_columns();
       for (size_t c = 0; c < probe_width; ++c) {
-        AppendColumnGather(&joined_.column(c), 0, input_.column(c),
+        AppendColumnGather(&joined_.column(c), 0, input->column(c),
                            probe_sel_.data(), probe_sel_.size());
       }
-      for (size_t c = 0; c < build_batch_->num_columns(); ++c) {
+      for (size_t c = 0; c < build.num_columns(); ++c) {
         AppendColumnGather(&joined_.column(probe_width + c), 0,
-                           build_batch_->column(c), build_sel_.data(),
+                           build.column(c), build_sel_.data(),
                            build_sel_.size());
       }
       joined_.SetRowCountForDecode(probe_sel_.size());
@@ -215,10 +310,9 @@ class VectorizedHashJoinIterator final : public BatchIterator {
         *out = std::move(joined_);
         return true;
       }
-      Column pred;
-      RETURN_IF_ERROR(residual_->EvaluateBatch(joined_, &pred));
-      sel_.clear();
-      FilterToSelection(pred, joined_.num_rows(), &sel_);
+      ASSIGN_OR_RETURN(const Column* pred,
+                       EvaluateBatchInPlace(*residual_, joined_, &pred_));
+      FilterToSelection(*pred, joined_.num_rows(), &sel_);
       if (sel_.empty()) continue;
       if (sel_.size() == joined_.num_rows()) {
         *out = std::move(joined_);
@@ -233,13 +327,13 @@ class VectorizedHashJoinIterator final : public BatchIterator {
  private:
   BatchIteratorPtr probe_;
   std::shared_ptr<const JoinHashTable> table_;
-  std::shared_ptr<const ColumnBatch> build_batch_;
   const std::vector<int>* probe_keys_;
-  std::vector<int> identity_keys_;
   BoundExprPtr residual_;
   SchemaPtr output_schema_;
-  ColumnBatch input_;
+  ColumnBatch scratch_;
   ColumnBatch joined_;
+  Column pred_;
+  std::vector<uint64_t> hashes_;
   std::vector<int32_t> probe_sel_;
   std::vector<int32_t> build_sel_;
   std::vector<int32_t> sel_;
@@ -342,30 +436,299 @@ class UdfBatchPartitionIterator final : public BatchIterator {
   Status pump_status_;
 };
 
-/// Hash-based duplicate elimination over batches: unique rows accumulate in
-/// a ColumnBatch keyed by content hash, without boxing. Used by both phases
-/// of DISTINCT.
-struct BatchDedup {
-  explicit BatchDedup(SchemaPtr schema) : acc(std::move(schema)) {}
+/// Running state of one aggregate, one slot per group.
+struct AggregateColumn {
+  std::vector<int64_t> count;  ///< Rows (COUNT(*)) or non-NULL arguments.
+  std::vector<int64_t> int_sum;
+  std::vector<double> double_sum;
+  /// MIN/MAX: the value so far, typed as the argument; NULL until a group
+  /// sees its first non-NULL argument.
+  Column extreme;
+};
 
-  ColumnBatch acc;                   ///< Unique rows seen so far.
-  std::vector<uint64_t> row_hashes;  ///< Hash per acc row (shuffle split).
-  std::unordered_map<uint64_t, std::vector<int32_t>> buckets;
+/// Group table of DISTINCT and the batch hash aggregate: the distinct
+/// group keys as typed key columns (one row per group, NULL a key value like
+/// any other, equality as CellsEqual) found through an open-addressing
+/// index, and each aggregate's running state by group id. Phase 1 folds
+/// input batches into a worker's table, phase 2 merges the partial tables'
+/// groups and finalizes them.
+class GroupTable {
+ public:
+  /// Groups by the first `num_keys` columns of `schema` (the output schema,
+  /// whose later columns are the aggregates) and computes `specs`.
+  GroupTable(const Schema& schema, size_t num_keys,
+             const std::vector<AggregateSpec>* specs)
+      : specs_(specs) {
+    keys_.resize(num_keys);
+    for (size_t k = 0; k < num_keys; ++k) {
+      keys_[k].type = schema.field(static_cast<int>(k)).type;
+    }
+    aggs_.resize(specs_->size());
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      aggs_[a].extreme.type = (*specs_)[a].output_type;
+    }
+    slots_.assign(16, -1);
+    mask_ = slots_.size() - 1;
+  }
 
-  Status Insert(const ColumnBatch& src, size_t row) {
-    const uint64_t h = BatchRowHash(src, row);
-    std::vector<int32_t>& bucket = buckets[h];
-    for (const int32_t idx : bucket) {
-      if (BatchRowsEqual(acc, static_cast<size_t>(idx), src, row)) {
-        return Status::OK();
+  size_t num_groups() const { return hashes_.size(); }
+  uint64_t hash(size_t group) const { return hashes_[group]; }
+
+  /// Phase 1: folds `n` input rows into the table, given the evaluated
+  /// group-key columns and one argument column per aggregate (nullptr for
+  /// COUNT(*)).
+  Status Accumulate(const std::vector<const Column*>& keys,
+                    const std::vector<const Column*>& args, size_t n) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      if (keys[k]->type != keys_[k].type) {
+        return Status::Internal("group key type differs from the plan");
       }
     }
-    const int32_t index = static_cast<int32_t>(row);
-    RETURN_IF_ERROR(acc.AppendGather(src, &index, 1));
-    bucket.push_back(static_cast<int32_t>(acc.num_rows()) - 1);
-    row_hashes.push_back(h);
+    group_ids_.resize(n);
+    if (keys.empty()) {
+      std::fill(group_ids_.begin(), group_ids_.end(), FindOrInsert(0, keys, 0));
+    } else {
+      HashColumns(keys, n, &row_hashes_);
+      for (size_t r = 0; r < n; ++r) {
+        group_ids_[r] = FindOrInsert(row_hashes_[r], keys, r);
+      }
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      RETURN_IF_ERROR(Fold((*specs_)[a], args[a], n, &aggs_[a]));
+    }
     return Status::OK();
   }
+
+  /// Phase 2: merges the listed groups of a partial table into this one.
+  void Merge(const GroupTable& other, const std::vector<int32_t>& groups) {
+    std::vector<const Column*> keys;
+    for (const Column& key : other.keys_) keys.push_back(&key);
+    for (const int32_t source : groups) {
+      const auto from = static_cast<size_t>(source);
+      const auto to = static_cast<size_t>(
+          FindOrInsert(other.hashes_[from], keys, from));
+      for (size_t a = 0; a < aggs_.size(); ++a) {
+        MergeState((*specs_)[a], other.aggs_[a], from, &aggs_[a], to);
+      }
+    }
+  }
+
+  /// Adds the one group a global aggregate reports over zero rows.
+  void AddEmptyGroup() { FindOrInsert(0, {}, 0); }
+
+  /// The finalized groups as one batch of `schema`: the key columns, then
+  /// one column per aggregate. Consumes the table.
+  ColumnBatch Finish(const SchemaPtr& schema) {
+    ColumnBatch out(schema);
+    const size_t groups = num_groups();
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      out.column(k) = std::move(keys_[k]);
+    }
+    for (size_t a = 0; a < aggs_.size(); ++a) {
+      out.column(keys_.size() + a) =
+          FinalizeColumn((*specs_)[a], &aggs_[a], groups);
+    }
+    out.SetRowCountForDecode(groups);
+    return out;
+  }
+
+ private:
+  int32_t FindOrInsert(uint64_t hash, const std::vector<const Column*>& keys,
+                       size_t row) {
+    size_t slot = Scramble(hash) & mask_;
+    for (int32_t g = slots_[slot]; g >= 0; g = slots_[slot]) {
+      if (hashes_[static_cast<size_t>(g)] == hash &&
+          KeysMatch(static_cast<size_t>(g), keys, row)) {
+        return g;
+      }
+      slot = (slot + 1) & mask_;
+    }
+    const size_t group = hashes_.size();
+    const auto index = static_cast<int32_t>(row);
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      AppendColumnGather(&keys_[k], group, *keys[k], &index, 1);
+    }
+    hashes_.push_back(hash);
+    for (AggregateColumn& agg : aggs_) {
+      agg.count.push_back(0);
+      agg.int_sum.push_back(0);
+      agg.double_sum.push_back(0);
+      (void)AppendColumnValue(&agg.extreme, group, Value::Null(), "extreme");
+    }
+    slots_[slot] = static_cast<int32_t>(group);
+    if (2 * hashes_.size() > slots_.size()) Grow();
+    return static_cast<int32_t>(group);
+  }
+
+  bool KeysMatch(size_t group, const std::vector<const Column*>& keys,
+                 size_t row) const {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      if (!CellsEqual(keys_[k], group, *keys[k], row)) return false;
+    }
+    return true;
+  }
+
+  void Grow() {
+    slots_.assign(2 * slots_.size(), -1);
+    mask_ = slots_.size() - 1;
+    for (size_t g = 0; g < hashes_.size(); ++g) {
+      size_t slot = Scramble(hashes_[g]) & mask_;
+      while (slots_[slot] >= 0) slot = (slot + 1) & mask_;
+      slots_[slot] = static_cast<int32_t>(g);
+    }
+  }
+
+  /// Sets cell `row` of `dst` to the non-NULL cell `src_row` of `src` (same
+  /// type).
+  static void SetCell(Column* dst, size_t row, const Column& src,
+                      size_t src_row) {
+    dst->null_words[row >> 6] &= ~(uint64_t{1} << (row & 63));
+    switch (dst->type) {
+      case DataType::kBool:
+        dst->bools[row] = src.bools[src_row];
+        break;
+      case DataType::kInt64:
+        dst->ints[row] = src.ints[src_row];
+        break;
+      case DataType::kDouble:
+        dst->doubles[row] = src.doubles[src_row];
+        break;
+      case DataType::kString:
+        dst->codes[row] = dst->dict.GetOrAdd(src.dict[src.codes[src_row]]);
+        break;
+    }
+  }
+
+  /// Whether `value` (cell `row` of a column) replaces `extreme`'s cell
+  /// `group`: the group has none yet, or it orders before (MIN) / after
+  /// (MAX) it in Value's order.
+  static bool Replaces(bool is_min, const Column& value, size_t row,
+                       const Column& extreme, size_t group) {
+    if (extreme.IsNull(group)) return true;
+    return (is_min ? CompareCells(value, row, extreme, group)
+                   : CompareCells(extreme, group, value, row)) < 0;
+  }
+
+  /// Folds one batch's argument column into an aggregate's state; SUM/AVG
+  /// sum INT64 exactly when the output is INT64 and in double otherwise,
+  /// and every aggregate but COUNT(*) skips NULLs.
+  Status Fold(const AggregateSpec& spec, const Column* arg, size_t n,
+              AggregateColumn* agg) const {
+    const int32_t* group = group_ids_.data();
+    int64_t* count = agg->count.data();
+    if (spec.func == AggFunc::kCountStar) {
+      for (size_t r = 0; r < n; ++r) ++count[group[r]];
+      return Status::OK();
+    }
+    const Column& col = *arg;
+    const bool nulls = col.has_nulls();
+    switch (spec.func) {
+      case AggFunc::kCount:
+        for (size_t r = 0; r < n; ++r) {
+          if (!nulls || !col.IsNull(r)) ++count[group[r]];
+        }
+        return Status::OK();
+      case AggFunc::kSum:
+      case AggFunc::kAvg: {
+        int64_t* int_sum = agg->int_sum.data();
+        double* double_sum = agg->double_sum.data();
+        const bool exact = spec.output_type == DataType::kInt64;
+        if (col.type == DataType::kInt64) {
+          for (size_t r = 0; r < n; ++r) {
+            if (nulls && col.IsNull(r)) continue;
+            const int32_t g = group[r];
+            ++count[g];
+            if (exact) {
+              int_sum[g] += col.ints[r];
+            } else {
+              double_sum[g] += static_cast<double>(col.ints[r]);
+            }
+          }
+        } else if (col.type == DataType::kDouble) {
+          for (size_t r = 0; r < n; ++r) {
+            if (nulls && col.IsNull(r)) continue;
+            ++count[group[r]];
+            double_sum[group[r]] += col.doubles[r];
+          }
+        } else {
+          return Status::InvalidArgument("SUM/AVG over a non-numeric value");
+        }
+        return Status::OK();
+      }
+      case AggFunc::kMin:
+      case AggFunc::kMax: {
+        if (col.type != agg->extreme.type) {
+          return Status::Internal("MIN/MAX argument type differs from plan");
+        }
+        const bool is_min = spec.func == AggFunc::kMin;
+        for (size_t r = 0; r < n; ++r) {
+          if (nulls && col.IsNull(r)) continue;
+          const auto g = static_cast<size_t>(group[r]);
+          if (Replaces(is_min, col, r, agg->extreme, g)) {
+            SetCell(&agg->extreme, g, col, r);
+          }
+          ++count[g];
+        }
+        return Status::OK();
+      }
+      case AggFunc::kCountStar:
+        break;
+    }
+    return Status::OK();
+  }
+
+  static void MergeState(const AggregateSpec& spec, const AggregateColumn& from,
+                         size_t source, AggregateColumn* to, size_t group) {
+    if ((spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) &&
+        !from.extreme.IsNull(source) &&
+        Replaces(spec.func == AggFunc::kMin, from.extreme, source,
+                 to->extreme, group)) {
+      SetCell(&to->extreme, group, from.extreme, source);
+    }
+    to->count[group] += from.count[source];
+    to->int_sum[group] += from.int_sum[source];
+    to->double_sum[group] += from.double_sum[source];
+  }
+
+  /// The output column of one aggregate over `groups` groups. COUNT is
+  /// never NULL; SUM, AVG, MIN and MAX over no value are.
+  static Column FinalizeColumn(const AggregateSpec& spec,
+                               AggregateColumn* agg, size_t groups) {
+    if (spec.func == AggFunc::kMin || spec.func == AggFunc::kMax) {
+      return std::move(agg->extreme);
+    }
+    const bool counts =
+        spec.func == AggFunc::kCount || spec.func == AggFunc::kCountStar;
+    Column out;
+    out.type = spec.output_type;
+    for (size_t g = 0; g < groups; ++g) {
+      const int64_t count = agg->count[g];
+      const bool null = count == 0 && !counts;
+      out.AppendNullBit(g, null);
+      if (counts) {
+        out.ints.push_back(count);
+      } else if (spec.output_type == DataType::kInt64) {
+        out.ints.push_back(null ? 0 : agg->int_sum[g]);
+      } else {
+        const double sum =
+            agg->double_sum[g] + static_cast<double>(agg->int_sum[g]);
+        out.doubles.push_back(null ? 0
+                              : spec.func == AggFunc::kAvg
+                                  ? sum / static_cast<double>(count)
+                                  : sum);
+      }
+    }
+    return out;
+  }
+
+  const std::vector<AggregateSpec>* specs_;
+  std::vector<Column> keys_;
+  std::vector<uint64_t> hashes_;  ///< Key hash per group.
+  std::vector<int32_t> slots_;    ///< Open addressing: group id or -1.
+  size_t mask_ = 0;
+  std::vector<AggregateColumn> aggs_;
+  std::vector<int32_t> group_ids_;    ///< Scratch: group of each input row.
+  std::vector<uint64_t> row_hashes_;  ///< Scratch: key hash per input row.
 };
 
 // ---------------------------------------------------------------------------
@@ -397,15 +760,28 @@ class StatsBatchIterator final : public BatchIterator {
   Result<bool> Next(ColumnBatch* out) override {
     Stopwatch watch;
     auto has = child_->Next(out);
-    micros_ += watch.ElapsedMicros();
-    if (has.ok() && *has) {
-      ++batches_;
-      rows_ += static_cast<int64_t>(out->num_rows());
-    }
+    Count(watch, has, out);
+    return has;
+  }
+
+  Result<bool> NextView(ColumnBatch* scratch,
+                        const ColumnBatch** view) override {
+    Stopwatch watch;
+    auto has = child_->NextView(scratch, view);
+    Count(watch, has, *view);
     return has;
   }
 
  private:
+  void Count(const Stopwatch& watch, const Result<bool>& has,
+             const ColumnBatch* batch) {
+    micros_ += watch.ElapsedMicros();
+    if (has.ok() && *has) {
+      ++batches_;
+      rows_ += static_cast<int64_t>(batch->num_rows());
+    }
+  }
+
   BatchIteratorPtr child_;
   OperatorActuals* actuals_;
   int64_t rows_ = 0;
@@ -423,17 +799,13 @@ struct Executor::PipelineState {
     bool broadcast = true;
     std::shared_ptr<const JoinHashTable> broadcast_table;
     // Repartition mode: per-worker probe slices and hash tables.
-    std::vector<std::vector<Row>> probe_partitions;
+    WorkerBatches probe_partitions;
     std::vector<std::shared_ptr<const JoinHashTable>> worker_tables;
-    // The build rows as ColumnBatches, gathered from during probe instead
-    // of boxing build rows per match.
-    std::shared_ptr<const ColumnBatch> broadcast_batch;
-    std::vector<std::shared_ptr<const ColumnBatch>> worker_batches;
   };
 
   // Keyed by plan node identity.
   std::unordered_map<const PlanNode*, JoinArtifact> joins;
-  std::unordered_map<const PlanNode*, PartitionedRows> materialized;
+  std::unordered_map<const PlanNode*, WorkerBatches> materialized;
   std::vector<TableUdfPtr> udfs_to_finish;
 };
 
@@ -448,7 +820,7 @@ Executor::Executor(int num_workers, ClusterPtr cluster,
   SQLINK_CHECK(num_workers_ > 0);
 }
 
-Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
+Result<WorkerBatches> Executor::Execute(const PlanPtr& plan) {
   // Blocking operators never flow through the pipeline stats wrappers, so
   // their actuals are recorded here, around the full (inclusive) execution.
   OperatorActuals* actuals = nullptr;
@@ -464,11 +836,11 @@ Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
   }
   if (actuals == nullptr) return ExecuteNode(plan);
   Stopwatch watch;
-  Result<PartitionedRows> result = ExecuteNode(plan);
+  Result<WorkerBatches> result = ExecuteNode(plan);
   actuals->AddMicros(watch.ElapsedMicros());
   actuals->AddInvocation();
   if (result.ok()) {
-    const int64_t produced = static_cast<int64_t>(result->TotalRows());
+    const auto produced = static_cast<int64_t>(TotalRows(*result));
     actuals->AddRows(produced);
     if (plan->kind == PlanKind::kDistinct) {
       // The dedup set peaks at exactly the unique-row count.
@@ -479,15 +851,14 @@ Result<PartitionedRows> Executor::Execute(const PlanPtr& plan) {
   return result;
 }
 
-Result<PartitionedRows> Executor::ExecuteNode(const PlanPtr& plan) {
+Result<WorkerBatches> Executor::ExecuteNode(const PlanPtr& plan) {
   // Blocking operators (join builds, DISTINCT, aggregation, sort, limit)
   // materialize whole inputs; refuse to start one for a cancelled query.
   RETURN_IF_ERROR(CheckCancelled());
   switch (plan->kind) {
     case PlanKind::kDistinct:
-      return ExecuteDistinct(plan);
     case PlanKind::kAggregate:
-      return ExecuteAggregate(plan);
+      return ExecuteGrouping(plan);
     case PlanKind::kSort:
       return ExecuteSort(plan);
     case PlanKind::kLimit:
@@ -497,30 +868,47 @@ Result<PartitionedRows> Executor::ExecuteNode(const PlanPtr& plan) {
   }
 }
 
-std::vector<std::vector<Row>> Executor::Repartition(
-    std::vector<std::vector<Row>> input, const std::vector<int>& keys) {
+Result<WorkerBatches> Executor::Repartition(WorkerBatches input,
+                                            const std::vector<int>& keys) {
   const size_t n = static_cast<size_t>(num_workers_);
-  // Per input partition, bucket locally in parallel; then concatenate.
-  std::vector<std::vector<std::vector<Row>>> local(input.size());
+  // Per source worker, in parallel: route each row by key hash and gather
+  // it into that (source, target) pair's batch.
+  std::vector<std::vector<ColumnBatch>> local(input.size());
+  std::vector<Status> statuses(input.size());
   ParallelFor(input.size(), [&](size_t p) {
-    local[p].resize(n);
-    for (Row& row : input[p]) {
-      const size_t target =
-          keys.empty() ? p % n : HashRowKey(row, keys) % n;
-      local[p][target].push_back(std::move(row));
-    }
-    input[p].clear();
+    statuses[p] = [&]() -> Status {
+      std::vector<ColumnBatch>& out = local[p];
+      out.resize(n);
+      std::vector<uint64_t> hashes;
+      std::vector<std::vector<int32_t>> routed(n);
+      for (ColumnBatch& batch : input[p]) {
+        if (batch.empty()) continue;
+        for (std::vector<int32_t>& rows : routed) rows.clear();
+        if (keys.empty()) {
+          routed[p % n].resize(batch.num_rows());
+          std::iota(routed[p % n].begin(), routed[p % n].end(), 0);
+        } else {
+          HashColumns(KeyColumns(batch, keys), batch.num_rows(), &hashes);
+          for (size_t r = 0; r < batch.num_rows(); ++r) {
+            routed[Scramble(hashes[r]) % n].push_back(static_cast<int32_t>(r));
+          }
+        }
+        for (size_t t = 0; t < n; ++t) {
+          if (routed[t].empty()) continue;
+          if (out[t].num_columns() == 0) out[t].Reset(batch.schema());
+          RETURN_IF_ERROR(
+              out[t].AppendGather(batch, routed[t].data(), routed[t].size()));
+        }
+        batch = ColumnBatch();  // Release the input as it is consumed.
+      }
+      return Status::OK();
+    }();
   });
-  std::vector<std::vector<Row>> output(n);
-  for (size_t target = 0; target < n; ++target) {
-    size_t total = 0;
-    for (size_t p = 0; p < local.size(); ++p) total += local[p][target].size();
-    output[target].reserve(total);
-    for (size_t p = 0; p < local.size(); ++p) {
-      auto& bucket = local[p][target];
-      std::move(bucket.begin(), bucket.end(),
-                std::back_inserter(output[target]));
-      bucket.clear();
+  for (const Status& status : statuses) RETURN_IF_ERROR(status);
+  WorkerBatches output(n);
+  for (size_t t = 0; t < n; ++t) {
+    for (std::vector<ColumnBatch>& source : local) {
+      if (!source[t].empty()) output[t].push_back(std::move(source[t]));
     }
   }
   return output;
@@ -545,63 +933,56 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
       // merged result here and pipeline over it.
       if (plan->join_algo == JoinAlgo::kSortMerge && !plan->left_keys.empty()) {
         Stopwatch merge_watch;
-        ASSIGN_OR_RETURN(PartitionedRows rows, ExecuteMergeJoin(plan));
+        ASSIGN_OR_RETURN(WorkerBatches merged, ExecuteMergeJoin(plan));
         if (OperatorActuals* actuals = NodeActuals(plan)) {
           actuals->AddMicros(merge_watch.ElapsedMicros());
-          actuals->AddRows(static_cast<int64_t>(rows.TotalRows()));
+          actuals->AddRows(static_cast<int64_t>(TotalRows(merged)));
           actuals->AddInvocation();
         }
-        state->materialized.emplace(plan.get(), std::move(rows));
+        state->materialized.emplace(plan.get(), std::move(merged));
         return Status::OK();
       }
       PipelineState::JoinArtifact artifact;
       artifact.broadcast = plan->broadcast_build;
       const SchemaPtr& build_schema = plan->children[1]->output_schema;
-      ASSIGN_OR_RETURN(PartitionedRows build, Execute(plan->children[1]));
+      ASSIGN_OR_RETURN(WorkerBatches build, Execute(plan->children[1]));
       if (plan->broadcast_build) {
+        ASSIGN_OR_RETURN(ColumnBatch build_batch,
+                         Concat(build_schema, Flatten(std::move(build))));
         artifact.broadcast_table = std::make_shared<const JoinHashTable>(
-            build.Gather(), plan->right_keys);
+            std::move(build_batch), plan->right_keys);
         if (OperatorActuals* actuals = NodeActuals(plan)) {
-          const int64_t build_rows =
-              static_cast<int64_t>(artifact.broadcast_table->rows().size());
+          const auto build_rows =
+              static_cast<int64_t>(artifact.broadcast_table->num_rows());
           actuals->AddBuildRows(build_rows);
           actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
         }
-        ASSIGN_OR_RETURN(
-            ColumnBatch batch,
-            ColumnBatch::FromRows(build_schema,
-                                  artifact.broadcast_table->rows()));
-        artifact.broadcast_batch =
-            std::make_shared<const ColumnBatch>(std::move(batch));
         state->joins.emplace(plan.get(), std::move(artifact));
         return Prepare(plan->children[0], state);
       }
       // Repartition join: both sides materialize and shuffle by key hash.
-      ASSIGN_OR_RETURN(PartitionedRows probe, Execute(plan->children[0]));
-      artifact.probe_partitions =
-          Repartition(std::move(probe.partitions), plan->left_keys);
-      std::vector<std::vector<Row>> build_parts =
-          Repartition(std::move(build.partitions), plan->right_keys);
-      artifact.worker_tables.resize(static_cast<size_t>(num_workers_));
-      artifact.worker_batches.resize(static_cast<size_t>(num_workers_));
-      std::vector<Status> batch_status(static_cast<size_t>(num_workers_));
-      ParallelFor(static_cast<size_t>(num_workers_), [&](size_t w) {
-        artifact.worker_tables[w] = std::make_shared<const JoinHashTable>(
-            std::move(build_parts[w]), plan->right_keys);
-        auto batch = ColumnBatch::FromRows(build_schema,
-                                           artifact.worker_tables[w]->rows());
+      ASSIGN_OR_RETURN(WorkerBatches probe, Execute(plan->children[0]));
+      ASSIGN_OR_RETURN(artifact.probe_partitions,
+                       Repartition(std::move(probe), plan->left_keys));
+      ASSIGN_OR_RETURN(WorkerBatches build_parts,
+                       Repartition(std::move(build), plan->right_keys));
+      const size_t n = static_cast<size_t>(num_workers_);
+      artifact.worker_tables.resize(n);
+      std::vector<Status> statuses(n);
+      ParallelFor(n, [&](size_t w) {
+        auto batch = Concat(build_schema, std::move(build_parts[w]));
         if (!batch.ok()) {
-          batch_status[w] = batch.status();
+          statuses[w] = batch.status();
           return;
         }
-        artifact.worker_batches[w] =
-            std::make_shared<const ColumnBatch>(std::move(batch).value());
+        artifact.worker_tables[w] = std::make_shared<const JoinHashTable>(
+            std::move(batch).value(), plan->right_keys);
       });
-      for (const Status& s : batch_status) RETURN_IF_ERROR(s);
+      for (const Status& s : statuses) RETURN_IF_ERROR(s);
       if (OperatorActuals* actuals = NodeActuals(plan)) {
         int64_t build_rows = 0;
         for (const auto& table : artifact.worker_tables) {
-          build_rows += static_cast<int64_t>(table->rows().size());
+          build_rows += static_cast<int64_t>(table->num_rows());
         }
         actuals->AddBuildRows(build_rows);
         actuals->MaxPeakBytes(ApproxRowsBytes(build_schema, build_rows));
@@ -611,9 +992,9 @@ Status Executor::Prepare(const PlanPtr& plan, PipelineState* state) {
     }
     default: {
       // A blocking operator inside a pipeline: execute it fully and expose
-      // its partitions as a pipeline source.
-      ASSIGN_OR_RETURN(PartitionedRows rows, Execute(plan));
-      state->materialized.emplace(plan.get(), std::move(rows));
+      // its batches as a pipeline source.
+      ASSIGN_OR_RETURN(WorkerBatches batches, Execute(plan));
+      state->materialized.emplace(plan.get(), std::move(batches));
       return Status::OK();
     }
   }
@@ -635,21 +1016,19 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipeline(const PlanPtr& plan,
 
 Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
     const PlanPtr& plan, int worker, PipelineState* state) {
+  const auto w = static_cast<size_t>(worker);
   // A node pre-materialized by Prepare (blocking op inside the pipeline).
   auto materialized = state->materialized.find(plan.get());
   if (materialized != state->materialized.end()) {
-    return BatchIteratorPtr(new RowVectorBatchIterator(
-        &materialized->second.partitions[worker], plan->output_schema));
+    return BatchIteratorPtr(new BatchListIterator(&materialized->second[w]));
   }
   switch (plan->kind) {
     case PlanKind::kScan:
     case PlanKind::kMaterialized: {
-      if (static_cast<size_t>(worker) >= plan->table->num_partitions()) {
+      if (w >= plan->table->num_partitions()) {
         return BatchIteratorPtr(new EmptyBatchIterator());
       }
-      return BatchIteratorPtr(new RowVectorBatchIterator(
-          &plan->table->partition(static_cast<size_t>(worker)),
-          plan->output_schema));
+      return BatchIteratorPtr(new BatchListIterator(&plan->table->batches(w)));
     }
     case PlanKind::kFilter: {
       ASSIGN_OR_RETURN(BatchIteratorPtr child,
@@ -673,18 +1052,14 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
         ASSIGN_OR_RETURN(BatchIteratorPtr probe,
                          BuildBatchPipeline(plan->children[0], worker, state));
         return BatchIteratorPtr(new VectorizedHashJoinIterator(
-            std::move(probe), artifact.broadcast_table,
-            artifact.broadcast_batch, &plan->left_keys, plan->residual,
-            plan->output_schema));
+            std::move(probe), artifact.broadcast_table, &plan->left_keys,
+            plan->residual, plan->output_schema));
       }
-      BatchIteratorPtr probe(new RowVectorBatchIterator(
-          &artifact.probe_partitions[static_cast<size_t>(worker)],
-          plan->children[0]->output_schema));
+      BatchIteratorPtr probe(
+          new BatchListIterator(&artifact.probe_partitions[w]));
       return BatchIteratorPtr(new VectorizedHashJoinIterator(
-          std::move(probe),
-          artifact.worker_tables[static_cast<size_t>(worker)],
-          artifact.worker_batches[static_cast<size_t>(worker)],
-          &plan->left_keys, plan->residual, plan->output_schema));
+          std::move(probe), artifact.worker_tables[w], &plan->left_keys,
+          plan->residual, plan->output_schema));
     }
     case PlanKind::kTableUdf: {
       BatchIteratorPtr input;
@@ -709,25 +1084,20 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
   }
 }
 
-Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
+Result<WorkerBatches> Executor::ExecutePipeline(const PlanPtr& plan) {
   TraceSpan span("sql.execute");
   span.AddAttribute("workers", num_workers_);
   Stopwatch timer;
   PipelineState state;
-  Status prepare_status = Prepare(plan, &state);
+  Status run_status = Prepare(plan, &state);
 
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-
-  Status run_status = prepare_status;
+  WorkerBatches output(static_cast<size_t>(num_workers_));
   if (run_status.ok()) {
     run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
       ASSIGN_OR_RETURN(BatchIteratorPtr it,
                        BuildBatchPipeline(plan, worker, &state));
-      std::vector<Row>& out = output.partitions[static_cast<size_t>(worker)];
+      std::vector<ColumnBatch>& out = output[static_cast<size_t>(worker)];
       ColumnBatch batch;
-      Row row;
       for (;;) {
         // `sql.exec.batch` paces the pipeline (delay actions) so tests can
         // hold a query in-flight deterministically; shares the cancellation
@@ -736,10 +1106,7 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
         RETURN_IF_ERROR(CheckCancelled());
         ASSIGN_OR_RETURN(bool has, it->Next(&batch));
         if (!has) break;
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          batch.EmitRow(r, &row);
-          out.push_back(row);
-        }
+        out.push_back(std::move(batch));
       }
       return Status::OK();
     });
@@ -751,10 +1118,7 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
     const Status finish_status = udf->Finish();
     if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
   }
-  int64_t rows_emitted = 0;
-  for (const std::vector<Row>& partition : output.partitions) {
-    rows_emitted += static_cast<int64_t>(partition.size());
-  }
+  const auto rows_emitted = static_cast<int64_t>(TotalRows(output));
   span.AddAttribute("rows", rows_emitted);
   metrics_->GetHistogram("sql.executor.pipeline_micros")
       ->Record(timer.ElapsedMicros());
@@ -764,141 +1128,59 @@ Result<PartitionedRows> Executor::ExecutePipeline(const PlanPtr& plan) {
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteDistinct(const PlanPtr& plan) {
-  // Two phases over unboxed ColumnBatch rows: the child runs as a batch
-  // pipeline with local dedup per worker, unique rows shuffle by content
-  // hash, and each target dedups again.
-  const PlanPtr& child = plan->children[0];
-  const size_t n = static_cast<size_t>(num_workers_);
-
-  PipelineState state;
-  Status run_status = Prepare(child, &state);
-
-  // shards[worker][target]: locally-unique rows routed to `target`.
-  std::vector<std::vector<ColumnBatch>> shards(n);
-  if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(BatchIteratorPtr it,
-                       BuildBatchPipeline(child, worker, &state));
-      BatchDedup dedup(plan->output_schema);
-      ColumnBatch batch;
-      for (;;) {
-        ASSIGN_OR_RETURN(bool has, it->Next(&batch));
-        if (!has) break;
-        for (size_t r = 0; r < batch.num_rows(); ++r) {
-          RETURN_IF_ERROR(dedup.Insert(batch, r));
-        }
-      }
-      // Split this worker's unique rows by hash into per-target gathers.
-      std::vector<std::vector<int32_t>> routed(n);
-      for (size_t r = 0; r < dedup.acc.num_rows(); ++r) {
-        routed[dedup.row_hashes[r] % n].push_back(static_cast<int32_t>(r));
-      }
-      std::vector<ColumnBatch>& out = shards[static_cast<size_t>(worker)];
-      for (size_t t = 0; t < n; ++t) {
-        ColumnBatch shard(plan->output_schema);
-        if (!routed[t].empty()) {
-          RETURN_IF_ERROR(shard.AppendGather(dedup.acc, routed[t].data(),
-                                             routed[t].size()));
-        }
-        out.push_back(std::move(shard));
-      }
-      return Status::OK();
-    });
-  }
-  for (const TableUdfPtr& udf : state.udfs_to_finish) {
-    const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
-  }
-  RETURN_IF_ERROR(run_status);
-
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(n);
-  std::vector<Status> target_status(n);
-  ParallelFor(n, [&](size_t t) {
-    BatchDedup dedup(plan->output_schema);
-    for (size_t w = 0; w < n; ++w) {
-      const ColumnBatch& shard = shards[w][t];
-      for (size_t r = 0; r < shard.num_rows(); ++r) {
-        const Status s = dedup.Insert(shard, r);
-        if (!s.ok()) {
-          target_status[t] = s;
-          return;
-        }
-      }
-    }
-    output.partitions[t].reserve(dedup.acc.num_rows());
-    Row row;
-    for (size_t r = 0; r < dedup.acc.num_rows(); ++r) {
-      dedup.acc.EmitRow(r, &row);
-      output.partitions[t].push_back(row);
-    }
-  });
-  for (const Status& s : target_status) RETURN_IF_ERROR(s);
-  return output;
-}
-
-namespace {
-
-/// Lexicographic three-way compare of the key columns of two rows, using
-/// Value's cross-numeric, NULL-first ordering.
-int CompareKeys(const Row& a, const std::vector<int>& a_keys, const Row& b,
-                const std::vector<int>& b_keys) {
-  for (size_t i = 0; i < a_keys.size(); ++i) {
-    const Value& av = a[static_cast<size_t>(a_keys[i])];
-    const Value& bv = b[static_cast<size_t>(b_keys[i])];
-    if (av < bv) return -1;
-    if (bv < av) return 1;
-  }
-  return 0;
-}
-
-}  // namespace
-
-Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
+Result<WorkerBatches> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
   // Repartition both sides by key so equal keys land on the same worker,
-  // sort each worker's slices, then merge equal-key runs. NULL keys never
-  // match (dropped up front), and emitted pairs are guarded by the exact
-  // RowKeyEquals check so ordering-equal but type-distinct numeric keys
-  // (1 vs 1.0) behave exactly like the hash join.
-  ASSIGN_OR_RETURN(PartitionedRows probe, Execute(plan->children[0]));
-  ASSIGN_OR_RETURN(PartitionedRows build, Execute(plan->children[1]));
-  std::vector<std::vector<Row>> probe_parts =
-      Repartition(std::move(probe.partitions), plan->left_keys);
-  std::vector<std::vector<Row>> build_parts =
-      Repartition(std::move(build.partitions), plan->right_keys);
+  // sort each worker's row-index permutation, then merge equal-key runs.
+  // NULL keys never match (left out of the permutation), and emitted pairs
+  // are guarded by the exact KeysEqual check so ordering-equal but
+  // type-distinct numeric keys (1 vs 1.0) behave exactly like the hash
+  // join.
+  ASSIGN_OR_RETURN(WorkerBatches probe, Execute(plan->children[0]));
+  ASSIGN_OR_RETURN(WorkerBatches build, Execute(plan->children[1]));
+  ASSIGN_OR_RETURN(WorkerBatches probe_parts,
+                   Repartition(std::move(probe), plan->left_keys));
+  ASSIGN_OR_RETURN(WorkerBatches build_parts,
+                   Repartition(std::move(build), plan->right_keys));
 
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-  Status run_status = ParallelWorkers(num_workers_, [&](int w) -> Status {
-    std::vector<Row>& left = probe_parts[static_cast<size_t>(w)];
-    std::vector<Row>& right = build_parts[static_cast<size_t>(w)];
-    auto drop_null_keys = [](std::vector<Row>* rows,
-                             const std::vector<int>& keys) {
-      rows->erase(std::remove_if(rows->begin(), rows->end(),
-                                 [&](const Row& row) {
-                                   return HasNullKey(row, keys);
-                                 }),
-                  rows->end());
+  WorkerBatches output(static_cast<size_t>(num_workers_));
+  Status run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
+    const auto w = static_cast<size_t>(worker);
+    ASSIGN_OR_RETURN(ColumnBatch left,
+                     Concat(plan->children[0]->output_schema,
+                            std::move(probe_parts[w])));
+    ASSIGN_OR_RETURN(ColumnBatch right,
+                     Concat(plan->children[1]->output_schema,
+                            std::move(build_parts[w])));
+    const std::vector<const Column*> left_keys =
+        KeyColumns(left, plan->left_keys);
+    const std::vector<const Column*> right_keys =
+        KeyColumns(right, plan->right_keys);
+    auto sorted_rows = [](const ColumnBatch& batch,
+                          const std::vector<const Column*>& keys) {
+      std::vector<int32_t> rows;
+      for (size_t r = 0; r < batch.num_rows(); ++r) {
+        if (!AnyNull(keys, r)) rows.push_back(static_cast<int32_t>(r));
+      }
+      std::sort(rows.begin(), rows.end(), [&](int32_t a, int32_t b) {
+        return CompareKeys(keys, static_cast<size_t>(a), keys,
+                           static_cast<size_t>(b)) < 0;
+      });
+      return rows;
     };
-    drop_null_keys(&left, plan->left_keys);
-    drop_null_keys(&right, plan->right_keys);
-    std::sort(left.begin(), left.end(), [&](const Row& a, const Row& b) {
-      return CompareKeys(a, plan->left_keys, b, plan->left_keys) < 0;
-    });
-    std::sort(right.begin(), right.end(), [&](const Row& a, const Row& b) {
-      return CompareKeys(a, plan->right_keys, b, plan->right_keys) < 0;
-    });
+    const std::vector<int32_t> lrows = sorted_rows(left, left_keys);
+    const std::vector<int32_t> rrows = sorted_rows(right, right_keys);
 
-    std::vector<Row>& out = output.partitions[static_cast<size_t>(w)];
+    std::vector<int32_t> left_sel;
+    std::vector<int32_t> right_sel;
+    auto key_cmp = [](const std::vector<const Column*>& a, int32_t ra,
+                      const std::vector<const Column*>& b, int32_t rb) {
+      return CompareKeys(a, static_cast<size_t>(ra), b,
+                         static_cast<size_t>(rb));
+    };
     size_t li = 0;
     size_t ri = 0;
-    Row joined;
-    while (li < left.size() && ri < right.size()) {
-      const int cmp =
-          CompareKeys(left[li], plan->left_keys, right[ri], plan->right_keys);
+    while (li < lrows.size() && ri < rrows.size()) {
+      const int cmp = key_cmp(left_keys, lrows[li], right_keys, rrows[ri]);
       if (cmp < 0) {
         ++li;
         continue;
@@ -907,38 +1189,57 @@ Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
         ++ri;
         continue;
       }
-      // Equal-key runs on both sides; emit the cross product of the runs.
+      // Equal-key runs on both sides; pair up the cross product of the runs.
       size_t lend = li + 1;
-      while (lend < left.size() &&
-             CompareKeys(left[lend], plan->left_keys, left[li],
-                         plan->left_keys) == 0) {
+      while (lend < lrows.size() &&
+             key_cmp(left_keys, lrows[lend], left_keys, lrows[li]) == 0) {
         ++lend;
       }
       size_t rend = ri + 1;
-      while (rend < right.size() &&
-             CompareKeys(right[rend], plan->right_keys, right[ri],
-                         plan->right_keys) == 0) {
+      while (rend < rrows.size() &&
+             key_cmp(right_keys, rrows[rend], right_keys, rrows[ri]) == 0) {
         ++rend;
       }
       for (size_t l = li; l < lend; ++l) {
         for (size_t r = ri; r < rend; ++r) {
           // Ordering-equal is weaker than join equality: re-check exactly.
-          if (!RowKeyEquals(left[l], plan->left_keys, right[r],
-                            plan->right_keys)) {
-            continue;
+          if (KeysEqual(left_keys, static_cast<size_t>(lrows[l]), right_keys,
+                        static_cast<size_t>(rrows[r]))) {
+            left_sel.push_back(lrows[l]);
+            right_sel.push_back(rrows[r]);
           }
-          joined = left[l];
-          joined.insert(joined.end(), right[r].begin(), right[r].end());
-          if (plan->residual != nullptr) {
-            ASSIGN_OR_RETURN(Value keep, plan->residual->Evaluate(joined));
-            if (!IsTruthy(keep)) continue;
-          }
-          out.push_back(joined);
         }
       }
       li = lend;
       ri = rend;
     }
+    if (left_sel.empty()) return Status::OK();
+
+    ColumnBatch joined(plan->output_schema);
+    const size_t left_width = left.num_columns();
+    for (size_t c = 0; c < left_width; ++c) {
+      AppendColumnGather(&joined.column(c), 0, left.column(c),
+                         left_sel.data(), left_sel.size());
+    }
+    for (size_t c = 0; c < right.num_columns(); ++c) {
+      AppendColumnGather(&joined.column(left_width + c), 0, right.column(c),
+                         right_sel.data(), right_sel.size());
+    }
+    joined.SetRowCountForDecode(left_sel.size());
+    if (plan->residual != nullptr) {
+      Column scratch;
+      ASSIGN_OR_RETURN(const Column* pred,
+                       EvaluateBatchInPlace(*plan->residual, joined, &scratch));
+      std::vector<int32_t> sel;
+      FilterToSelection(*pred, joined.num_rows(), &sel);
+      if (sel.empty()) return Status::OK();
+      if (sel.size() < joined.num_rows()) {
+        ColumnBatch kept(plan->output_schema);
+        RETURN_IF_ERROR(kept.AppendGather(joined, sel.data(), sel.size()));
+        joined = std::move(kept);
+      }
+    }
+    output[w].push_back(std::move(joined));
     return Status::OK();
   });
   RETURN_IF_ERROR(run_status);
@@ -946,241 +1247,142 @@ Result<PartitionedRows> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
   return output;
 }
 
-namespace {
-
-/// Partial aggregation state for one (group, aggregate) pair.
-struct AggState {
-  int64_t count = 0;
-  int64_t int_sum = 0;
-  double double_sum = 0;
-  Value extreme;  // MIN/MAX running value.
-};
-
-Status UpdateState(const AggregateSpec& spec, const Row& input,
-                   AggState* state) {
-  if (spec.func == AggFunc::kCountStar) {
-    ++state->count;
-    return Status::OK();
-  }
-  ASSIGN_OR_RETURN(Value v, spec.argument->Evaluate(input));
-  if (v.is_null()) return Status::OK();  // Aggregates skip NULLs.
-  switch (spec.func) {
-    case AggFunc::kCount:
-      ++state->count;
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg: {
-      ++state->count;
-      if (spec.output_type == DataType::kInt64 && v.is_int64()) {
-        state->int_sum += v.int64_value();
-      } else {
-        ASSIGN_OR_RETURN(double d, v.AsDouble());
-        state->double_sum += d;
-      }
-      break;
-    }
-    case AggFunc::kMin:
-      if (state->count == 0 || v < state->extreme) state->extreme = v;
-      ++state->count;
-      break;
-    case AggFunc::kMax:
-      if (state->count == 0 || state->extreme < v) state->extreme = v;
-      ++state->count;
-      break;
-    case AggFunc::kCountStar:
-      break;
-  }
-  return Status::OK();
-}
-
-void MergeState(const AggregateSpec& spec, const AggState& other,
-                AggState* state) {
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      state->count += other.count;
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-      state->count += other.count;
-      state->int_sum += other.int_sum;
-      state->double_sum += other.double_sum;
-      break;
-    case AggFunc::kMin:
-      if (other.count > 0 &&
-          (state->count == 0 || other.extreme < state->extreme)) {
-        state->extreme = other.extreme;
-      }
-      state->count += other.count;
-      break;
-    case AggFunc::kMax:
-      if (other.count > 0 &&
-          (state->count == 0 || state->extreme < other.extreme)) {
-        state->extreme = other.extreme;
-      }
-      state->count += other.count;
-      break;
-  }
-}
-
-Value FinalizeState(const AggregateSpec& spec, const AggState& state) {
-  switch (spec.func) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return Value::Int64(state.count);
-    case AggFunc::kSum:
-      if (state.count == 0) return Value::Null();
-      return spec.output_type == DataType::kInt64
-                 ? Value::Int64(state.int_sum)
-                 : Value::Double(state.double_sum +
-                                 static_cast<double>(state.int_sum));
-    case AggFunc::kAvg:
-      if (state.count == 0) return Value::Null();
-      return Value::Double(
-          (state.double_sum + static_cast<double>(state.int_sum)) /
-          static_cast<double>(state.count));
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return state.count == 0 ? Value::Null() : state.extreme;
-  }
-  return Value::Null();
-}
-
-/// Partial-state row layout: group keys, then per aggregate
-/// (count, int_sum, double_sum, extreme).
-Row EncodePartial(const Row& key, const std::vector<AggState>& states) {
-  Row row = key;
-  for (const AggState& s : states) {
-    row.push_back(Value::Int64(s.count));
-    row.push_back(Value::Int64(s.int_sum));
-    row.push_back(Value::Double(s.double_sum));
-    row.push_back(s.extreme);
-  }
-  return row;
-}
-
-void DecodePartial(const Row& row, size_t num_keys, size_t num_aggs, Row* key,
-                   std::vector<AggState>* states) {
-  key->assign(row.begin(), row.begin() + static_cast<std::ptrdiff_t>(num_keys));
-  states->resize(num_aggs);
-  size_t pos = num_keys;
-  for (AggState& s : *states) {
-    s.count = row[pos++].int64_value();
-    s.int_sum = row[pos++].int64_value();
-    s.double_sum = row[pos++].double_value();
-    s.extreme = row[pos++];
-  }
-}
-
-}  // namespace
-
-Result<PartitionedRows> Executor::ExecuteAggregate(const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-  const size_t num_keys = plan->group_by.size();
+Result<WorkerBatches> Executor::ExecuteGrouping(const PlanPtr& plan) {
+  const PlanPtr& child = plan->children[0];
+  const size_t n = static_cast<size_t>(num_workers_);
+  const bool distinct = plan->kind == PlanKind::kDistinct;
+  const size_t num_keys =
+      distinct ? static_cast<size_t>(plan->output_schema->num_fields())
+               : plan->group_by.size();
   const size_t num_aggs = plan->aggregates.size();
+  auto make_table = [&] {
+    return std::make_unique<GroupTable>(*plan->output_schema, num_keys,
+                                        &plan->aggregates);
+  };
 
-  // Phase 1: per-worker partial aggregation.
-  std::vector<std::vector<Row>> partials(input.partitions.size());
-  Status status = ParallelWorkers(
-      static_cast<int>(input.partitions.size()), [&](int p) -> Status {
-        std::map<Row, std::vector<AggState>> groups;  // Value ordering.
-        for (const Row& row : input.partitions[static_cast<size_t>(p)]) {
-          Row key;
-          key.reserve(num_keys);
-          for (const BoundExprPtr& expr : plan->group_by) {
-            ASSIGN_OR_RETURN(Value v, expr->Evaluate(row));
-            key.push_back(std::move(v));
+  // Phase 1: each worker folds its child pipeline's batches into a local
+  // group table; keys and arguments evaluate column-at-a-time.
+  PipelineState state;
+  Status run_status = Prepare(child, &state);
+  std::vector<std::unique_ptr<GroupTable>> partials(n);
+  std::vector<int64_t> rows_in(n, 0);
+  if (run_status.ok()) {
+    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
+      ASSIGN_OR_RETURN(BatchIteratorPtr it,
+                       BuildBatchPipeline(child, worker, &state));
+      std::unique_ptr<GroupTable> table = make_table();
+      std::vector<Column> key_scratch(num_keys);
+      std::vector<Column> arg_scratch(num_aggs);
+      std::vector<const Column*> keys(num_keys);
+      std::vector<const Column*> args(num_aggs, nullptr);
+      ColumnBatch scratch;
+      for (;;) {
+        const ColumnBatch* batch = nullptr;
+        ASSIGN_OR_RETURN(bool has, it->NextView(&scratch, &batch));
+        if (!has) break;
+        for (size_t k = 0; k < num_keys; ++k) {
+          if (distinct) {
+            keys[k] = &batch->column(k);
+            continue;
           }
-          auto [it, inserted] =
-              groups.try_emplace(std::move(key), num_aggs);
-          for (size_t a = 0; a < num_aggs; ++a) {
-            RETURN_IF_ERROR(
-                UpdateState(plan->aggregates[a], row, &it->second[a]));
-          }
+          ASSIGN_OR_RETURN(keys[k], EvaluateBatchInPlace(*plan->group_by[k],
+                                                         *batch,
+                                                         &key_scratch[k]));
         }
-        for (const auto& [key, states] : groups) {
-          partials[static_cast<size_t>(p)].push_back(
-              EncodePartial(key, states));
+        for (size_t a = 0; a < num_aggs; ++a) {
+          const BoundExprPtr& argument = plan->aggregates[a].argument;
+          if (argument == nullptr) continue;
+          ASSIGN_OR_RETURN(args[a], EvaluateBatchInPlace(*argument, *batch,
+                                                         &arg_scratch[a]));
         }
-        return Status::OK();
-      });
-  RETURN_IF_ERROR(status);
-
-  // Phase 2: shuffle partials by group key and merge.
-  std::vector<int> key_columns;
-  for (size_t i = 0; i < num_keys; ++i) {
-    key_columns.push_back(static_cast<int>(i));
-  }
-  std::vector<std::vector<Row>> shuffled;
-  if (num_keys == 0) {
-    // Global aggregate: merge everything on worker 0.
-    shuffled.resize(static_cast<size_t>(num_workers_));
-    for (auto& p : partials) {
-      for (Row& row : p) shuffled[0].push_back(std::move(row));
-    }
-  } else {
-    shuffled = Repartition(std::move(partials), key_columns);
-  }
-
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-  status = ParallelWorkers(num_workers_, [&](int w) -> Status {
-    std::map<Row, std::vector<AggState>> groups;
-    Row key;
-    std::vector<AggState> states;
-    for (const Row& partial : shuffled[static_cast<size_t>(w)]) {
-      DecodePartial(partial, num_keys, num_aggs, &key, &states);
-      auto [it, inserted] = groups.try_emplace(key, num_aggs);
-      for (size_t a = 0; a < num_aggs; ++a) {
-        MergeState(plan->aggregates[a], states[a], &it->second[a]);
+        RETURN_IF_ERROR(table->Accumulate(keys, args, batch->num_rows()));
+        rows_in[static_cast<size_t>(worker)] +=
+            static_cast<int64_t>(batch->num_rows());
       }
+      partials[static_cast<size_t>(worker)] = std::move(table);
+      return Status::OK();
+    });
+  }
+  for (const TableUdfPtr& udf : state.udfs_to_finish) {
+    const Status finish_status = udf->Finish();
+    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
+  }
+  RETURN_IF_ERROR(run_status);
+  // The child pipeline's output, as ExecutePipeline counts it for a
+  // materialized result.
+  metrics_->GetCounter("sql.executor.rows_emitted")
+      ->Add(std::accumulate(rows_in.begin(), rows_in.end(), int64_t{0}));
+
+  // Phase 2: route every partial group to a target by key hash (a global
+  // aggregate merges on worker 0), then each target merges and finalizes.
+  std::vector<std::vector<std::vector<int32_t>>> routed(
+      n, std::vector<std::vector<int32_t>>(n));
+  for (size_t w = 0; w < n; ++w) {
+    for (size_t g = 0; g < partials[w]->num_groups(); ++g) {
+      const size_t target =
+          num_keys == 0 ? 0 : Scramble(partials[w]->hash(g)) % n;
+      routed[w][target].push_back(static_cast<int32_t>(g));
     }
+  }
+  WorkerBatches output(n);
+  ParallelFor(n, [&](size_t t) {
+    std::unique_ptr<GroupTable> merged = make_table();
+    for (size_t w = 0; w < n; ++w) merged->Merge(*partials[w], routed[w][t]);
     // A global aggregate over zero rows still yields one output row.
-    if (num_keys == 0 && groups.empty() && w == 0) {
-      groups.try_emplace(Row{}, num_aggs);
+    if (num_keys == 0 && t == 0 && merged->num_groups() == 0) {
+      merged->AddEmptyGroup();
     }
-    for (const auto& [group_key, group_states] : groups) {
-      Row out = group_key;
-      for (size_t a = 0; a < num_aggs; ++a) {
-        out.push_back(FinalizeState(plan->aggregates[a], group_states[a]));
-      }
-      output.partitions[static_cast<size_t>(w)].push_back(std::move(out));
+    if (merged->num_groups() > 0) {
+      output[t].push_back(merged->Finish(plan->output_schema));
     }
-    return Status::OK();
   });
-  RETURN_IF_ERROR(status);
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteSort(const PlanPtr& plan) {
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(plan->children[0]));
-  std::vector<Row> all = input.Gather();
-  std::stable_sort(all.begin(), all.end(), [&](const Row& a, const Row& b) {
-    for (size_t i = 0; i < plan->sort_keys.size(); ++i) {
-      const size_t k = static_cast<size_t>(plan->sort_keys[i]);
-      const bool desc = plan->sort_descending[i];
-      if (a[k] < b[k]) return !desc;
-      if (b[k] < a[k]) return desc;
+Result<WorkerBatches> Executor::ExecuteSort(const PlanPtr& plan) {
+  // One global order: concatenate every worker's batches, stable-sort a
+  // row-index permutation in Value's NULL-first, cross-numeric order, and
+  // gather it into kSqlBatchRows batches on worker 0.
+  ASSIGN_OR_RETURN(WorkerBatches input, Execute(plan->children[0]));
+  ASSIGN_OR_RETURN(ColumnBatch all,
+                   Concat(plan->output_schema, Flatten(std::move(input))));
+  std::vector<int32_t> order(all.num_rows());
+  std::iota(order.begin(), order.end(), 0);
+  const std::vector<const Column*> keys = KeyColumns(all, plan->sort_keys);
+  std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const int cmp = CompareCells(*keys[i], static_cast<size_t>(a), *keys[i],
+                                   static_cast<size_t>(b));
+      if (cmp != 0) return plan->sort_descending[i] ? cmp > 0 : cmp < 0;
     }
     return false;
   });
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
-  output.partitions[0] = std::move(all);
+  WorkerBatches output(static_cast<size_t>(num_workers_));
+  for (size_t begin = 0; begin < order.size(); begin += kSqlBatchRows) {
+    ColumnBatch chunk(plan->output_schema);
+    const size_t n = std::min(kSqlBatchRows, order.size() - begin);
+    RETURN_IF_ERROR(chunk.AppendGather(all, order.data() + begin, n));
+    output[0].push_back(std::move(chunk));
+  }
   return output;
 }
 
-Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
+Result<WorkerBatches> Executor::ExecuteLimit(const PlanPtr& plan) {
   const PlanPtr& child = plan->children[0];
-  PartitionedRows output;
-  output.schema = plan->output_schema;
-  output.partitions.resize(static_cast<size_t>(num_workers_));
+  WorkerBatches output(static_cast<size_t>(num_workers_));
+  int64_t remaining = plan->limit;
+  // Keeps the first `remaining` rows of `batch`, on worker 0.
+  auto take = [&](ColumnBatch batch) {
+    if (static_cast<int64_t>(batch.num_rows()) > remaining) {
+      batch.Truncate(static_cast<size_t>(remaining));
+    }
+    remaining -= static_cast<int64_t>(batch.num_rows());
+    output[0].push_back(std::move(batch));
+  };
 
-  // Early termination: when the child is pipelinable, pull rows worker by
-  // worker and stop as soon as the limit is met, instead of computing the
-  // full child result.
+  // Early termination: when the child is pipelinable, pull batches worker
+  // by worker and stop as soon as the limit is met, instead of computing
+  // the full child result.
   const bool pipelinable = child->kind == PlanKind::kScan ||
                            child->kind == PlanKind::kMaterialized ||
                            child->kind == PlanKind::kFilter ||
@@ -1190,7 +1392,6 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
   if (pipelinable) {
     PipelineState state;
     RETURN_IF_ERROR(Prepare(child, &state));
-    int64_t remaining = plan->limit;
     Status status;
     for (int worker = 0; worker < num_workers_ && remaining > 0 && status.ok();
          ++worker) {
@@ -1200,7 +1401,6 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
         break;
       }
       ColumnBatch batch;
-      Row row;
       while (remaining > 0) {
         auto has = (*it)->Next(&batch);
         if (!has.ok()) {
@@ -1208,13 +1408,7 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
           break;
         }
         if (!*has) break;
-        const size_t take =
-            std::min(batch.num_rows(), static_cast<size_t>(remaining));
-        for (size_t r = 0; r < take; ++r) {
-          batch.EmitRow(r, &row);
-          output.partitions[0].push_back(row);
-        }
-        remaining -= static_cast<int64_t>(take);
+        take(std::move(batch));
       }
     }
     for (const TableUdfPtr& udf : state.udfs_to_finish) {
@@ -1230,13 +1424,11 @@ Result<PartitionedRows> Executor::ExecuteLimit(const PlanPtr& plan) {
     return output;
   }
 
-  ASSIGN_OR_RETURN(PartitionedRows input, Execute(child));
-  int64_t remaining = plan->limit;
-  for (auto& partition : input.partitions) {
-    for (Row& row : partition) {
-      if (remaining <= 0) break;
-      output.partitions[0].push_back(std::move(row));
-      --remaining;
+  ASSIGN_OR_RETURN(WorkerBatches input, Execute(child));
+  for (std::vector<ColumnBatch>& worker : input) {
+    for (ColumnBatch& batch : worker) {
+      if (remaining <= 0) return output;
+      take(std::move(batch));
     }
   }
   return output;

@@ -13,38 +13,23 @@
 #include "sql/plan.h"
 #include "sql/query_stats.h"
 #include "table/schema.h"
-#include "table/value.h"
 
 namespace sqlink {
 
-/// Rows of a query result, partitioned one slice per SQL worker.
-struct PartitionedRows {
-  SchemaPtr schema;
-  std::vector<std::vector<Row>> partitions;
+/// A query result as the executor produces it: per SQL worker, the batches
+/// that worker emitted (non-empty, of any size), in order.
+using WorkerBatches = std::vector<std::vector<ColumnBatch>>;
 
-  size_t TotalRows() const {
-    size_t total = 0;
-    for (const auto& p : partitions) total += p.size();
-    return total;
-  }
-
-  /// All rows concatenated (small results/tests).
-  std::vector<Row> Gather() const {
-    std::vector<Row> all;
-    all.reserve(TotalRows());
-    for (const auto& p : partitions) {
-      all.insert(all.end(), p.begin(), p.end());
-    }
-    return all;
-  }
-};
+/// Rows in every batch of `batches`.
+size_t TotalRows(const WorkerBatches& batches);
 
 /// Parallel plan executor. Each of the n SQL workers runs a pipelined
-/// BatchIterator chain over its partition: ColumnBatch operators with
-/// selection-vector filters and gather-based joins, feeding table UDFs
-/// columns directly. Pipeline breakers (join builds, repartition joins,
-/// DISTINCT, aggregation, sort, limit) materialize and exchange rows
-/// between workers. Table UDFs stay pipelined: each worker pumps its UDF on
+/// BatchIterator chain over its partition: the scan hands out the table's
+/// stored chunks, then ColumnBatch operators with selection-vector filters
+/// and gather-based joins, feeding table UDFs columns directly. Pipeline
+/// breakers (join builds, repartition joins, DISTINCT, aggregation, sort,
+/// limit) materialize and exchange ColumnBatches between workers; no
+/// operator boxes rows. Table UDFs stay pipelined: each worker pumps its UDF on
 /// a dedicated thread through a bounded queue, so a streaming-transfer UDF
 /// overlaps with the upstream query work exactly as the paper's
 /// insql+stream pipeline does. tests/sql_differential_test.cc holds results
@@ -53,8 +38,8 @@ class Executor {
  public:
   Executor(int num_workers, ClusterPtr cluster, MetricsRegistry* metrics);
 
-  /// Runs the plan and returns its materialized, partitioned result.
-  Result<PartitionedRows> Execute(const PlanPtr& plan);
+  /// Runs the plan and returns its result, one batch list per worker.
+  Result<WorkerBatches> Execute(const PlanPtr& plan);
 
   /// Per-operator stats collection target. When set (and the plan carries
   /// node ids), every operator accumulates rows/batches/time/peak memory
@@ -87,17 +72,21 @@ class Executor {
     return stats_ == nullptr ? nullptr : stats_->actuals(plan->node_id);
   }
 
-  Result<PartitionedRows> ExecuteNode(const PlanPtr& plan);
-  Result<PartitionedRows> ExecutePipeline(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteDistinct(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteAggregate(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteSort(const PlanPtr& plan);
-  Result<PartitionedRows> ExecuteLimit(const PlanPtr& plan);
+  Result<WorkerBatches> ExecuteNode(const PlanPtr& plan);
+  Result<WorkerBatches> ExecutePipeline(const PlanPtr& plan);
+  /// DISTINCT and aggregation, as two-phase batch hash grouping: each
+  /// worker folds its child pipeline's batches into a typed group table,
+  /// groups shuffle by key hash, and each target merges and finalizes its
+  /// share. DISTINCT groups by every column and computes no aggregate.
+  Result<WorkerBatches> ExecuteGrouping(const PlanPtr& plan);
+  Result<WorkerBatches> ExecuteSort(const PlanPtr& plan);
+  Result<WorkerBatches> ExecuteLimit(const PlanPtr& plan);
 
   /// Sort-merge equi join: repartition both sides by key, sort each
-  /// worker's slices, merge equal-key runs. Chosen by the planner's cost
-  /// model when the build side would blow the hash-build memory budget.
-  Result<PartitionedRows> ExecuteMergeJoin(const PlanPtr& plan);
+  /// worker's row-index permutation, merge equal-key runs. Chosen by the
+  /// planner's cost model when the build side would blow the hash-build
+  /// memory budget.
+  Result<WorkerBatches> ExecuteMergeJoin(const PlanPtr& plan);
 
   Status Prepare(const PlanPtr& plan, PipelineState* state);
   Result<BatchIteratorPtr> BuildBatchPipeline(const PlanPtr& plan, int worker,
@@ -107,9 +96,10 @@ class Executor {
                                                   int worker,
                                                   PipelineState* state);
 
-  /// Hash-partitions rows by key columns into `num_workers_` slices.
-  std::vector<std::vector<Row>> Repartition(std::vector<std::vector<Row>> input,
-                                            const std::vector<int>& keys);
+  /// Hash-partitions rows by key columns into `num_workers_` slices (with
+  /// no keys, source worker p's rows go to p mod n).
+  Result<WorkerBatches> Repartition(WorkerBatches input,
+                                    const std::vector<int>& keys);
 
   int num_workers_;
   ClusterPtr cluster_;

@@ -78,6 +78,14 @@ Status BoundExpr::EvaluateBatch(const ColumnBatch& batch, Column* out) const {
   return Status::OK();
 }
 
+Result<const Column*> EvaluateBatchInPlace(const BoundExpr& expr,
+                                           const ColumnBatch& batch,
+                                           Column* scratch) {
+  if (const Column* column = expr.ColumnIn(batch)) return column;
+  RETURN_IF_ERROR(expr.EvaluateBatch(batch, scratch));
+  return scratch;
+}
+
 namespace {
 
 bool IsNumericType(DataType t) {
@@ -110,6 +118,9 @@ class ColumnExpr final : public BoundExpr {
     *out = batch.column(static_cast<size_t>(index_));
     return Status::OK();
   }
+  const Column* ColumnIn(const ColumnBatch& batch) const override {
+    return &batch.column(static_cast<size_t>(index_));
+  }
 
  private:
   int index_;
@@ -121,6 +132,7 @@ class LiteralExpr final : public BoundExpr {
       : BoundExpr(value.is_null() ? DataType::kString : value.type()),
         value_(std::move(value)) {}
   Result<Value> Evaluate(const Row&) const override { return value_; }
+  const Value* LiteralValue() const override { return &value_; }
   Status EvaluateBatch(const ColumnBatch& batch, Column* out) const override {
     *out = Column();
     out->type = output_type();
@@ -187,11 +199,27 @@ class ComparisonExpr final : public BoundExpr {
   }
 
   Status EvaluateBatch(const ColumnBatch& batch, Column* out) const override {
-    Column l;
-    Column r;
-    RETURN_IF_ERROR(lhs_->EvaluateBatch(batch, &l));
-    RETURN_IF_ERROR(rhs_->EvaluateBatch(batch, &r));
     const size_t n = batch.num_rows();
+    // Column against literal (either side): compare in place, without a
+    // literal column or a copy of the operand.
+    if (const Column* col = lhs_->ColumnIn(batch)) {
+      if (const Value* lit = rhs_->LiteralValue()) {
+        return CompareWithLiteral(*col, *lit, op_, false, n, out);
+      }
+    }
+    if (const Column* col = rhs_->ColumnIn(batch)) {
+      if (const Value* lit = lhs_->LiteralValue()) {
+        return CompareWithLiteral(*col, *lit, Mirror(op_), true, n, out);
+      }
+    }
+    Column l_scratch;
+    Column r_scratch;
+    ASSIGN_OR_RETURN(const Column* lp,
+                     EvaluateBatchInPlace(*lhs_, batch, &l_scratch));
+    ASSIGN_OR_RETURN(const Column* rp,
+                     EvaluateBatchInPlace(*rhs_, batch, &r_scratch));
+    const Column& l = *lp;
+    const Column& r = *rp;
     *out = Column();
     out->type = DataType::kBool;
     out->bools.reserve(n);
@@ -253,6 +281,125 @@ class ComparisonExpr final : public BoundExpr {
   }
 
  private:
+  static CompareOp Mirror(CompareOp op) {
+    switch (op) {
+      case CompareOp::kLt:
+        return CompareOp::kGt;
+      case CompareOp::kLe:
+        return CompareOp::kGe;
+      case CompareOp::kGt:
+        return CompareOp::kLt;
+      case CompareOp::kGe:
+        return CompareOp::kLe;
+      default:
+        return op;
+    }
+  }
+
+  /// out[i] = `get(i) op lit` for i < n, with the row path's reading of
+  /// an unordered pair (NaN): neither less nor greater, so equal.
+  template <typename Get, typename T>
+  static void CompareToLiteral(CompareOp op, size_t n, Get get, const T& lit,
+                               uint8_t* out) {
+    switch (op) {
+      case CompareOp::kEq:
+        for (size_t i = 0; i < n; ++i) {
+          out[i] = !(get(i) < lit) && !(lit < get(i));
+        }
+        break;
+      case CompareOp::kNe:
+        for (size_t i = 0; i < n; ++i) out[i] = get(i) < lit || lit < get(i);
+        break;
+      case CompareOp::kLt:
+        for (size_t i = 0; i < n; ++i) out[i] = get(i) < lit;
+        break;
+      case CompareOp::kLe:
+        for (size_t i = 0; i < n; ++i) out[i] = !(lit < get(i));
+        break;
+      case CompareOp::kGt:
+        for (size_t i = 0; i < n; ++i) out[i] = lit < get(i);
+        break;
+      case CompareOp::kGe:
+        for (size_t i = 0; i < n; ++i) out[i] = !(get(i) < lit);
+        break;
+    }
+  }
+
+  /// `col op lit` over the first n rows, matching Evaluate row for row;
+  /// `literal_first` only orders the type-mismatch error message.
+  static Status CompareWithLiteral(const Column& col, const Value& lit,
+                                   CompareOp op, bool literal_first, size_t n,
+                                   Column* out) {
+    *out = Column();
+    out->type = DataType::kBool;
+    const size_t words = (n + 63) / 64;
+    out->bools.assign(n, 0);
+    if (lit.is_null()) {
+      out->null_words.assign(words, ~uint64_t{0});
+      if (n % 64 != 0) out->null_words.back() = (uint64_t{1} << (n % 64)) - 1;
+      return Status::OK();
+    }
+    uint8_t* dst = out->bools.data();
+    if (col.type == DataType::kInt64 && lit.is_int64()) {
+      CompareToLiteral(op, n, [&](size_t i) { return col.ints[i]; },
+                       lit.int64_value(), dst);
+    } else if (IsNumericType(col.type) && (lit.is_int64() || lit.is_double())) {
+      const double x = *lit.AsDouble();
+      if (col.type == DataType::kDouble) {
+        CompareToLiteral(op, n, [&](size_t i) { return col.doubles[i]; }, x,
+                         dst);
+      } else {
+        CompareToLiteral(
+            op, n, [&](size_t i) { return static_cast<double>(col.ints[i]); },
+            x, dst);
+      }
+    } else if (col.type == DataType::kString && lit.is_string()) {
+      const std::string_view x = lit.string_value();
+      const auto dict_size = static_cast<size_t>(col.dict.size());
+      if (dict_size <= n) {
+        // Compare each dictionary entry once, then map codes. An empty
+        // dictionary means every row is NULL.
+        std::vector<uint8_t> by_code(dict_size);
+        CompareToLiteral(
+            op, dict_size,
+            [&](size_t c) { return col.dict[static_cast<int32_t>(c)]; }, x,
+            by_code.data());
+        if (dict_size > 0) {
+          for (size_t i = 0; i < n; ++i) {
+            dst[i] = by_code[static_cast<size_t>(col.codes[i])];
+          }
+        }
+      } else {
+        CompareToLiteral(
+            op, n, [&](size_t i) { return col.dict[col.codes[i]]; }, x, dst);
+      }
+    } else if (col.type == DataType::kBool && lit.is_bool()) {
+      CompareToLiteral(op, n, [&](size_t i) { return col.bools[i] != 0; },
+                       lit.bool_value(), dst);
+    } else {
+      // Incompatible types: Evaluate errors on the first row whose column
+      // side is non-NULL, so an all-NULL column yields all NULL.
+      for (size_t i = 0; i < n; ++i) {
+        if (col.IsNull(i)) continue;
+        const std::string col_type(DataTypeToString(col.type));
+        const std::string lit_type(DataTypeToString(lit.type()));
+        return Status::InvalidArgument(
+            "cannot compare " + (literal_first ? lit_type : col_type) +
+            " with " + (literal_first ? col_type : lit_type));
+      }
+    }
+    // NULL rows compare to NULL, with a zero placeholder.
+    out->null_words.assign(col.null_words.begin(),
+                           col.null_words.begin() +
+                               static_cast<std::ptrdiff_t>(words));
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = out->null_words[w]; bits != 0; bits &= bits - 1) {
+        dst[w * 64 + static_cast<size_t>(__builtin_ctzll(bits))] = 0;
+      }
+    }
+    return Status::OK();
+  }
+
   bool ApplyOp(int cmp) const {
     switch (op_) {
       case CompareOp::kEq:
@@ -304,6 +451,15 @@ class AndExpr final : public BoundExpr {
     const size_t n = batch.num_rows();
     *out = Column();
     out->type = DataType::kBool;
+    if (!l.has_nulls() && !r.has_nulls()) {
+      // Two-valued inputs: no NULL to propagate, so no per-row null bit.
+      out->bools.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        out->bools[i] = (l.bools[i] != 0) & (r.bools[i] != 0);
+      }
+      out->null_words.assign((n + 63) / 64, 0);
+      return Status::OK();
+    }
     out->bools.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const bool lf = !l.IsNull(i) && l.bools[i] == 0;
@@ -348,6 +504,14 @@ class OrExpr final : public BoundExpr {
     const size_t n = batch.num_rows();
     *out = Column();
     out->type = DataType::kBool;
+    if (!l.has_nulls() && !r.has_nulls()) {
+      out->bools.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        out->bools[i] = (l.bools[i] != 0) | (r.bools[i] != 0);
+      }
+      out->null_words.assign((n + 63) / 64, 0);
+      return Status::OK();
+    }
     out->bools.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       const bool lt = !l.IsNull(i) && l.bools[i] != 0;

@@ -84,6 +84,15 @@ class BoundExpr {
   /// Evaluate never reaches is not surfaced by the batch one.
   virtual Status EvaluateBatch(const ColumnBatch& batch, Column* out) const;
 
+  /// The column of `batch` this expression reads unchanged when it is a
+  /// plain column reference; nullptr otherwise. Lets batch kernels read an
+  /// operand in place instead of copying it through EvaluateBatch.
+  virtual const Column* ColumnIn(const ColumnBatch&) const { return nullptr; }
+
+  /// The constant this expression evaluates to when it is a literal;
+  /// nullptr otherwise.
+  virtual const Value* LiteralValue() const { return nullptr; }
+
   DataType output_type() const { return output_type_; }
 
  protected:
@@ -94,6 +103,13 @@ class BoundExpr {
 };
 
 using BoundExprPtr = std::shared_ptr<const BoundExpr>;
+
+/// Evaluates `expr` over `batch` without copying a column reference: a
+/// plain column yields the batch's own column, anything else is computed
+/// into `*scratch`. The result lives as long as `batch` and `*scratch`.
+Result<const Column*> EvaluateBatchInPlace(const BoundExpr& expr,
+                                           const ColumnBatch& batch,
+                                           Column* scratch);
 
 /// A scalar function (builtin or user-defined) callable from SQL
 /// expressions — the engine's scalar-UDF extension point.

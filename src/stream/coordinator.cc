@@ -63,6 +63,7 @@ struct CoordinatorCounters {
   Counter* get_splits;
   Counter* match;
   Counter* rematch;
+  Counter* abort_replies;
 
   static const CoordinatorCounters& Get() {
     static const CoordinatorCounters counters = [] {
@@ -72,7 +73,8 @@ struct CoordinatorCounters {
           registry.GetCounter("coordinator.register_sql.count"),
           registry.GetCounter("coordinator.get_splits.count"),
           registry.GetCounter("coordinator.match.count"),
-          registry.GetCounter("coordinator.rematch.count")};
+          registry.GetCounter("coordinator.rematch.count"),
+          registry.GetCounter("coordinator.abort_replies")};
     }();
     return counters;
   }
@@ -219,6 +221,12 @@ bool StreamCoordinator::aborted() const {
   return aborted_;
 }
 
+bool StreamCoordinator::IsAbortReply(const Status& status) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return aborted_ && status.code() == abort_status_.code() &&
+         status.message() == abort_status_.message();
+}
+
 void StreamCoordinator::AcceptLoop() {
   for (;;) {
     auto socket = listener_.Accept();
@@ -299,7 +307,13 @@ void StreamCoordinator::HandleConnection(TcpSocket* socket) {
         ->Record(timer.ElapsedMicros());
     if (!status.ok()) {
       span.SetError();
-      LOG_WARNING() << "coordinator handler: " << status;
+      // AbortLocked logged the cause once; every later RPC answered with
+      // the abort status is only counted.
+      if (IsAbortReply(status)) {
+        CoordinatorCounters::Get().abort_replies->Increment();
+      } else {
+        LOG_WARNING() << "coordinator handler: " << status;
+      }
       (void)SendFrame(socket, FrameType::kError, EncodeStatus(status));
     }
   }

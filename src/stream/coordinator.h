@@ -114,6 +114,10 @@ class StreamCoordinator {
   bool aborted() const;
 
  private:
+  /// Whether `status` is the abort status every RPC gets once the query
+  /// aborted (so it is counted in coordinator.abort_replies, not logged).
+  bool IsAbortReply(const Status& status) const;
+
   /// Per-split liveness bookkeeping (beside the static StreamSplitInfo).
   struct SplitRuntime {
     SplitState state = SplitState::kUnassigned;

@@ -33,7 +33,19 @@ Result<uint64_t> SpillFile::Append(std::string_view record) {
   }
   const uint64_t offset = write_offset_;
   write_offset_ += 4 + record.size();
+  ++live_records_;
   return offset;
+}
+
+void SpillFile::Release() {
+  if (live_records_ > 0) --live_records_;
+  if (live_records_ > 0 || !created_) return;
+  // Nothing on disk is live: drop the bytes now and reopen (truncating) on
+  // the next Append.
+  if (out_.is_open()) out_.close();
+  if (in_.is_open()) in_.close();
+  std::ofstream(path_, std::ios::binary | std::ios::trunc);
+  write_offset_ = 0;
 }
 
 Status SpillFile::ReadAt(uint64_t offset, std::string* out) {
@@ -64,6 +76,8 @@ void SpillFile::Remove() {
     std::remove(path_.c_str());
     created_ = false;
   }
+  live_records_ = 0;
+  write_offset_ = 0;
 }
 
 FrameLog::FrameLog(Options options)
@@ -292,7 +306,9 @@ void FrameLog::Ack(uint64_t seq) {
   while (acked_seq_ < seq) {
     Entry& front = entries_.front();
     acked_rows_ += front.rows;
-    if (!front.on_disk) {
+    if (front.on_disk) {
+      spill_.Release();
+    } else {
       retained_memory_bytes_ -= front.bytes;
       Recycle(&front.frame);
     }

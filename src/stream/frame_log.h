@@ -15,11 +15,15 @@
 
 namespace sqlink {
 
-/// Append-only disk file of length-prefixed records. The file is created
-/// lazily on the first Append and is ALWAYS removed once the SpillFile is
-/// destroyed (or explicitly Remove()d), including when an abort struck
-/// between creating the file and completing the first record. Not
-/// thread-safe; the owning FrameLog holds its lock around every call.
+/// Disk file of length-prefixed records, appended to and read back by
+/// offset. The file is created lazily on the first Append and is ALWAYS
+/// removed once the SpillFile is destroyed (or explicitly Remove()d),
+/// including when an abort struck between creating the file and completing
+/// the first record. It counts its live records: once Release has retired
+/// every record appended, the file is truncated to zero bytes, so its size
+/// is bounded by the records still live since it last emptied, not by
+/// everything ever spilled. Not thread-safe; the owning FrameLog holds its
+/// lock around every call.
 class SpillFile {
  public:
   explicit SpillFile(std::string path) : path_(std::move(path)) {}
@@ -35,6 +39,10 @@ class SpillFile {
   /// Reads the record at `offset` (a value returned by Append) into `out`.
   Status ReadAt(uint64_t offset, std::string* out);
 
+  /// Retires one appended record (its offset must not be read again). When
+  /// no live record is left, truncates the file and restarts offsets at 0.
+  void Release();
+
   /// Closes and deletes the backing file if it was ever created. Idempotent.
   void Remove();
 
@@ -42,6 +50,7 @@ class SpillFile {
   std::string path_;
   bool created_ = false;
   uint64_t write_offset_ = 0;
+  int64_t live_records_ = 0;  ///< Appended and not yet released.
   std::ofstream out_;
   std::ifstream in_;
 };

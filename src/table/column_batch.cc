@@ -19,45 +19,63 @@ Value ColumnValueAt(const Column& col, size_t row) {
   return Value::Null();
 }
 
+namespace {
+
+/// OK when `v` may be stored in a column of `type`: NULL anywhere, int64
+/// also in a double column, otherwise the exact type.
+Status CheckColumnValue(DataType type, const Value& v,
+                        const std::string& column_name) {
+  if (v.is_null()) return Status::OK();
+  switch (type) {
+    case DataType::kBool:
+      if (!v.is_bool()) {
+        return Status::InvalidArgument("non-bool value in BOOL column '" +
+                                       column_name + "'");
+      }
+      break;
+    case DataType::kInt64:
+      if (!v.is_int64()) {
+        return Status::InvalidArgument("non-integer value in INT64 column '" +
+                                       column_name + "'");
+      }
+      break;
+    case DataType::kDouble:
+      if (!v.is_double() && !v.is_int64()) {
+        return Status::InvalidArgument("non-numeric value in DOUBLE column '" +
+                                       column_name + "'");
+      }
+      break;
+    case DataType::kString:
+      if (!v.is_string()) {
+        return Status::InvalidArgument("non-string value in STRING column '" +
+                                       column_name + "'");
+      }
+      break;
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status AppendColumnValue(Column* col, size_t row, const Value& v,
                          const std::string& column_name) {
+  RETURN_IF_ERROR(CheckColumnValue(col->type, v, column_name));
   const bool null = v.is_null();
   col->AppendNullBit(row, null);
   switch (col->type) {
     case DataType::kBool:
-      if (!null && !v.is_bool()) {
-        return Status::InvalidArgument("non-bool value in BOOL column '" +
-                                       column_name + "'");
-      }
       col->bools.push_back(!null && v.bool_value() ? 1 : 0);
       break;
     case DataType::kInt64:
-      if (!null && !v.is_int64()) {
-        return Status::InvalidArgument("non-integer value in INT64 column '" +
-                                       column_name + "'");
-      }
       col->ints.push_back(null ? 0 : v.int64_value());
       break;
-    case DataType::kDouble: {
-      double d = 0;
-      if (!null) {
-        if (v.is_double()) {
-          d = v.double_value();
-        } else if (v.is_int64()) {
-          d = static_cast<double>(v.int64_value());
-        } else {
-          return Status::InvalidArgument("non-numeric value in DOUBLE column '" +
-                                         column_name + "'");
-        }
-      }
-      col->doubles.push_back(d);
+    case DataType::kDouble:
+      col->doubles.push_back(
+          null ? 0.0
+               : v.is_int64() ? static_cast<double>(v.int64_value())
+                              : v.double_value());
       break;
-    }
     case DataType::kString:
-      if (!null && !v.is_string()) {
-        return Status::InvalidArgument("non-string value in STRING column '" +
-                                       column_name + "'");
-      }
       col->codes.push_back(null ? 0 : col->dict.GetOrAdd(v.string_value()));
       break;
   }
@@ -194,6 +212,12 @@ Status ColumnBatch::AppendRow(const Row& row) {
         "row width " + std::to_string(row.size()) +
         " does not match batch width " + std::to_string(columns_.size()));
   }
+  // Check every value before appending any, so a rejected row leaves no
+  // partial column behind.
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    RETURN_IF_ERROR(CheckColumnValue(columns_[i].type, row[i],
+                                     schema_->field(static_cast<int>(i)).name));
+  }
   const size_t r = num_rows_;
   for (size_t i = 0; i < columns_.size(); ++i) {
     RETURN_IF_ERROR(AppendColumnValue(&columns_[i], r, row[i],
@@ -219,40 +243,58 @@ Status ColumnBatch::AppendGather(const ColumnBatch& src, const int32_t* rows,
 }
 
 Status ColumnBatch::AppendBatch(const ColumnBatch& other) {
-  if (columns_.size() != other.columns_.size()) {
-    return Status::InvalidArgument("batch width mismatch in AppendBatch");
+  return AppendSlice(other, 0, other.num_rows_);
+}
+
+Status ColumnBatch::AppendSlice(const ColumnBatch& src, size_t begin,
+                                size_t n) {
+  if (columns_.size() != src.columns_.size()) {
+    return Status::InvalidArgument("batch width mismatch in AppendSlice");
+  }
+  if (begin + n > src.num_rows_) {
+    return Status::OutOfRange("slice past the end of the batch");
   }
   const size_t base = num_rows_;
-  const size_t added = other.num_rows_;
   for (size_t i = 0; i < columns_.size(); ++i) {
     Column& dst = columns_[i];
-    const Column& src = other.columns_[i];
-    if (dst.type != src.type) {
-      return Status::InvalidArgument("column type mismatch in AppendBatch");
+    const Column& from = src.columns_[i];
+    if (dst.type != from.type) {
+      return Status::InvalidArgument("column type mismatch in AppendSlice");
     }
-    AppendNullWords(&dst.null_words, base, src.null_words, 0, added);
+    AppendNullWords(&dst.null_words, base, from.null_words, begin, n);
+    const auto first = static_cast<std::ptrdiff_t>(begin);
+    const auto last = static_cast<std::ptrdiff_t>(begin + n);
     switch (dst.type) {
       case DataType::kBool:
-        dst.bools.insert(dst.bools.end(), src.bools.begin(), src.bools.end());
+        dst.bools.insert(dst.bools.end(), from.bools.begin() + first,
+                         from.bools.begin() + last);
         break;
       case DataType::kInt64:
-        dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
+        dst.ints.insert(dst.ints.end(), from.ints.begin() + first,
+                        from.ints.begin() + last);
         break;
       case DataType::kDouble:
-        dst.doubles.insert(dst.doubles.end(), src.doubles.begin(),
-                           src.doubles.end());
+        dst.doubles.insert(dst.doubles.end(), from.doubles.begin() + first,
+                           from.doubles.begin() + last);
         break;
       case DataType::kString: {
-        // Translate per dictionary entry once, then gather per row.
-        std::vector<int32_t> remap(static_cast<size_t>(src.dict.size()));
-        for (int32_t id = 0; id < src.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = dst.dict.GetOrAdd(src.dict[id]);
+        if (dst.codes.empty() && dst.dict.empty()) {
+          // Fresh destination: share the dictionary, copy the codes.
+          dst.dict = from.dict;
+          dst.codes.insert(dst.codes.end(), from.codes.begin() + first,
+                           from.codes.begin() + last);
+          break;
         }
-        dst.codes.reserve(dst.codes.size() + added);
-        for (size_t r = 0; r < added; ++r) {
-          const int32_t code = src.codes[r];
+        // Translate per dictionary entry once, then per row.
+        std::vector<int32_t> remap(static_cast<size_t>(from.dict.size()));
+        for (int32_t id = 0; id < from.dict.size(); ++id) {
+          remap[static_cast<size_t>(id)] = dst.dict.GetOrAdd(from.dict[id]);
+        }
+        dst.codes.reserve(dst.codes.size() + n);
+        for (size_t r = begin; r < begin + n; ++r) {
+          const int32_t code = from.codes[r];
           dst.codes.push_back(
-              !src.IsNull(r) && static_cast<size_t>(code) < remap.size()
+              !from.IsNull(r) && static_cast<size_t>(code) < remap.size()
                   ? remap[static_cast<size_t>(code)]
                   : 0);
         }
@@ -260,7 +302,7 @@ Status ColumnBatch::AppendBatch(const ColumnBatch& other) {
       }
     }
   }
-  num_rows_ += added;
+  num_rows_ += n;
   return Status::OK();
 }
 

@@ -11,6 +11,13 @@
 
 namespace sqlink {
 
+/// Rows per ColumnBatch: the chunk size of a Table partition and of the
+/// vectorized SQL pipelines. Large enough to amortize the per-batch virtual
+/// dispatch, small enough to stay cache resident. Also the batch-boundary
+/// size the golden-query corpus probes (sizes 0, 1, kSqlBatchRows-1,
+/// kSqlBatchRows, kSqlBatchRows+1).
+inline constexpr size_t kSqlBatchRows = 1024;
+
 /// One column of a ColumnBatch: a typed contiguous vector plus a null
 /// bitmap. Exactly one of the value vectors is populated, chosen by `type`;
 /// string columns are dictionary-encoded (codes index `dict`). Null rows
@@ -90,7 +97,8 @@ class ColumnBatch {
   void Reserve(size_t rows);
 
   /// Appends one row. Value types must match the schema (int64 widens into
-  /// a double column); NULL is accepted anywhere.
+  /// a double column); NULL is accepted anywhere. A rejected row leaves the
+  /// batch unchanged.
   Status AppendRow(const Row& row);
 
   /// Appends every row of `other` (same schema), remapping string codes
@@ -102,6 +110,9 @@ class ColumnBatch {
   /// string codes remap as in AppendBatch. The workhorse of the vectorized
   /// filter and join operators and of the sink's round-robin split.
   Status AppendGather(const ColumnBatch& src, const int32_t* rows, size_t n);
+
+  /// Appends rows [begin, begin + n) of `src` (same column types).
+  Status AppendSlice(const ColumnBatch& src, size_t begin, size_t n);
 
   /// Drops rows past `rows` (resume truncation). Dictionaries may retain
   /// entries only the dropped rows referenced; that is harmless.

@@ -808,8 +808,12 @@ TEST_P(BatchKernelPropertyTest, RowHashConsistentWithRowEquality) {
   Random rng(GetParam() * 101 + 13);
   auto schema = Schema::Make({{"k", DataType::kInt64},
                               {"s", DataType::kString},
-                              {"f", DataType::kBool}});
-  // Low-cardinality values so duplicates are common.
+                              {"f", DataType::kBool},
+                              {"d", DataType::kDouble},
+                              {"n", DataType::kInt64}});
+  // Low-cardinality values so duplicates are common. `d` and `n` are never
+  // NULL (the null-free hashing loops), and `d` mixes +0.0 with -0.0, which
+  // are equal.
   auto random_row = [&] {
     Row row;
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
@@ -820,6 +824,9 @@ TEST_P(BatchKernelPropertyTest, RowHashConsistentWithRowEquality) {
                       : Value::String(kStrings[rng.Uniform(3)]));
     row.push_back(rng.Bernoulli(0.2) ? Value::Null()
                                      : Value::Bool(rng.Bernoulli(0.5)));
+    static const double kDoubles[] = {0.0, -0.0, 1.5};
+    row.push_back(Value::Double(kDoubles[rng.Uniform(3)]));
+    row.push_back(Value::Int64(rng.UniformInt(0, 1)));
     return row;
   };
   std::vector<Row> rows_a, rows_b;
@@ -832,19 +839,38 @@ TEST_P(BatchKernelPropertyTest, RowHashConsistentWithRowEquality) {
   auto b = ColumnBatch::FromRows(schema, rows_b);
   ASSERT_TRUE(a.ok() && b.ok());
 
+  auto columns = [](const ColumnBatch& batch) {
+    std::vector<const Column*> out;
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      out.push_back(&batch.column(c));
+    }
+    return out;
+  };
+  auto rows_equal = [](const ColumnBatch& x, size_t i, const ColumnBatch& y,
+                       size_t j) {
+    for (size_t c = 0; c < x.num_columns(); ++c) {
+      if (!CellsEqual(x.column(c), i, y.column(c), j)) return false;
+    }
+    return true;
+  };
+  std::vector<uint64_t> hash_a;
+  std::vector<uint64_t> hash_b;
+  HashColumns(columns(*a), a->num_rows(), &hash_a);
+  HashColumns(columns(*b), b->num_rows(), &hash_b);
+
   // Equal rows hash equal within a batch...
   for (size_t i = 0; i < a->num_rows(); ++i) {
     for (size_t j = i; j < a->num_rows(); ++j) {
-      if (BatchRowsEqual(*a, i, *a, j)) {
-        EXPECT_EQ(BatchRowHash(*a, i), BatchRowHash(*a, j)) << i << "," << j;
+      if (rows_equal(*a, i, *a, j)) {
+        EXPECT_EQ(hash_a[i], hash_a[j]) << i << "," << j;
       }
     }
   }
   // ...and across batches with different dictionaries; row i of `a` is row
   // 10+i of `b` by construction.
   for (size_t i = 0; i < a->num_rows(); ++i) {
-    ASSERT_TRUE(BatchRowsEqual(*a, i, *b, 10 + i)) << i;
-    EXPECT_EQ(BatchRowHash(*a, i), BatchRowHash(*b, 10 + i)) << i;
+    ASSERT_TRUE(rows_equal(*a, i, *b, 10 + i)) << i;
+    EXPECT_EQ(hash_a[i], hash_b[10 + i]) << i;
   }
 }
 

@@ -582,7 +582,7 @@ TEST_F(SqlEngineTest, ExplainAnalyzeReportsEstimatedVsActualRows) {
   ASSERT_FALSE(lines.empty());
   // Partition 0 holds the whole rendering in order; the first line is the
   // root (DISTINCT) node.
-  const std::string& root = (*analyzed)->partition(0)[0][0].string_value();
+  const std::string root = (*analyzed)->partition(0)[0][0].string_value();
   EXPECT_NE(root.find("Distinct"), std::string::npos) << root;
   EXPECT_NE(root.find("est="), std::string::npos) << root;
   EXPECT_NE(root.find("actual=" + std::to_string(expected_rows) + " rows"),

@@ -411,6 +411,43 @@ TEST_F(FrameLogTest, SentFramesOverflowTheRetentionCapIntoTheOneSpillFile) {
   EXPECT_TRUE(std::filesystem::is_empty(temp_.path()));
 }
 
+TEST_F(FrameLogTest, SpillFileEmptiesOnceEveryDiskFrameIsAcked) {
+  constexpr size_t kFrameBytes = FrameLog::kRetainedMemoryBytes / 4;
+  FrameLog log(SpillOptions(kFrameBytes, "bounded"));
+  const std::string path = temp_.path() + "/bounded.spill";
+  auto send = [](uint64_t, const std::string&) { return Status::OK(); };
+  // Six sent frames of a quarter cap each: the two oldest overflow to disk.
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(log.Append(std::string(kFrameBytes, 'a'), 1).ok());
+    ASSERT_TRUE(*log.SendNext(send));
+  }
+  ASSERT_EQ(log.retention_spilled_frames(), 2);
+  EXPECT_EQ(std::filesystem::file_size(path), 2 * (4 + kFrameBytes));
+  // Acking one disk frame leaves the other live: the file keeps its bytes.
+  log.Ack(1);
+  EXPECT_EQ(std::filesystem::file_size(path), 2 * (4 + kFrameBytes));
+  // Acking everything leaves nothing live on disk: the file is emptied.
+  log.Ack(6);
+  EXPECT_EQ(std::filesystem::file_size(path), 0u);
+  // Spill again: the file holds only the live records, written from
+  // offset 0, and they read back intact.
+  std::vector<std::string> frames;
+  for (int i = 0; i < 5; ++i) {
+    frames.push_back(std::string(kFrameBytes, static_cast<char>('k' + i)));
+    ASSERT_TRUE(log.Append(frames.back(), 1).ok());
+    ASSERT_TRUE(*log.SendNext(send));
+  }
+  ASSERT_EQ(log.retention_spilled_frames(), 3);
+  EXPECT_EQ(std::filesystem::file_size(path), 1 * (4 + kFrameBytes));
+  log.CloseProducer();
+  log.Rewind(6);
+  const auto replayed = SendAll(&log);
+  ASSERT_EQ(replayed.size(), frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(replayed[i].second, frames[i]) << "frame " << i;
+  }
+}
+
 // --- End-to-end streaming transfer ---
 
 class StreamingTransferTest : public ::testing::Test {
@@ -557,6 +594,8 @@ TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
   options.reader.recovery_enabled = true;
   options.reader.max_reconnects = 0;  // Recovery enabled but exhausted.
   ScopedFailpoint fault("stream.reader.row.split0", "error(1)");
+  const int64_t abort_replies_before =
+      MetricsRegistry::Global().Get("coordinator.abort_replies");
   Stopwatch timer;
   auto result =
       StreamingTransfer::Run(engine_.get(), "SELECT * FROM points", options);
@@ -569,6 +608,10 @@ TEST_F(StreamingTransferTest, ReaderGivesUpAfterMaxReconnects) {
               result.status().message().find("injected connection failure") !=
                   std::string::npos)
       << result.status();
+  // The RPCs answered with the abort status after the abort are counted
+  // (the cause is logged once, not once per reply).
+  EXPECT_GT(MetricsRegistry::Global().Get("coordinator.abort_replies"),
+            abort_replies_before);
 }
 
 TEST_F(StreamingTransferTest, FailureWithoutRecoveryFailsThePipeline) {

@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "sql/catalog.h"
+#include "table/column_batch.h"
 #include "table/csv.h"
 #include "table/pretty_print.h"
 #include "table/row_codec.h"
@@ -91,6 +100,193 @@ TEST(TableTest, PartitionedAppendAndGather) {
   EXPECT_EQ(table.GatherRows().size(), 10u);
 }
 
+/// Appends `n` rows to partition 0 of a fresh table and checks the chunk
+/// invariants: every chunk is non-empty and at most kSqlBatchRows rows, and
+/// the chunk rows add up to TotalRows.
+void ExpectChunkInvariants(size_t n) {
+  SCOPED_TRACE("rows=" + std::to_string(n));
+  auto schema =
+      Schema::Make({{"x", DataType::kInt64}, {"s", DataType::kString}});
+  Table table("t", schema, 2);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(table
+                    .AppendRow(0, Row{Value::Int64(static_cast<int64_t>(i)),
+                                      Value::String(std::to_string(i % 7))})
+                    .ok());
+  }
+  size_t chunk_rows = 0;
+  for (const ColumnBatch& chunk : table.batches(0)) {
+    EXPECT_GT(chunk.num_rows(), 0u);
+    EXPECT_LE(chunk.num_rows(), kSqlBatchRows);
+    chunk_rows += chunk.num_rows();
+  }
+  EXPECT_EQ(chunk_rows, n);
+  EXPECT_EQ(table.TotalRows(), n);
+  EXPECT_EQ(table.batches(0).size(), (n + kSqlBatchRows - 1) / kSqlBatchRows);
+  EXPECT_TRUE(table.batches(1).empty());
+  const std::vector<Row> rows = table.partition(0);
+  ASSERT_EQ(rows.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(rows[i][0], Value::Int64(static_cast<int64_t>(i)));
+  }
+}
+
+TEST(TableTest, ChunksStayWithinTheBatchSize) {
+  for (const size_t n : {size_t{0}, size_t{1}, kSqlBatchRows - 1,
+                         kSqlBatchRows, kSqlBatchRows + 1}) {
+    ExpectChunkInvariants(n);
+  }
+}
+
+TEST(TableTest, AppendBatchKeepsChunksWithinTheBatchSize) {
+  auto schema = Schema::Make({{"x", DataType::kInt64}});
+  Table table("t", schema, 1);
+  for (const size_t n : {size_t{3}, kSqlBatchRows + 5, size_t{1000},
+                         size_t{20}, 3 * kSqlBatchRows}) {
+    ColumnBatch batch(schema);
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(
+          batch.AppendRow(Row{Value::Int64(static_cast<int64_t>(i))}).ok());
+    }
+    ASSERT_TRUE(table.AppendBatch(0, std::move(batch)).ok());
+  }
+  size_t total = 0;
+  for (const ColumnBatch& chunk : table.batches(0)) {
+    EXPECT_GT(chunk.num_rows(), 0u);
+    EXPECT_LE(chunk.num_rows(), kSqlBatchRows);
+    total += chunk.num_rows();
+  }
+  EXPECT_EQ(total, 3 + kSqlBatchRows + 5 + 1000 + 20 + 3 * kSqlBatchRows);
+  EXPECT_EQ(table.TotalRows(), total);
+  // A batch of the wrong column types is rejected.
+  ColumnBatch strings(Schema::Make({{"x", DataType::kString}}));
+  ASSERT_TRUE(strings.AppendRow(Row{Value::String("a")}).ok());
+  EXPECT_TRUE(table.AppendBatch(0, std::move(strings)).IsInvalidArgument());
+  EXPECT_EQ(table.TotalRows(), total);
+}
+
+TEST(TableTest, RejectedRowLeavesThePartitionUnchanged) {
+  auto schema =
+      Schema::Make({{"x", DataType::kInt64}, {"y", DataType::kInt64}});
+  Table table("t", schema, 1);
+  ASSERT_TRUE(table.AppendRow(0, Row{Value::Int64(1), Value::Int64(2)}).ok());
+  EXPECT_FALSE(
+      table.AppendRow(0, Row{Value::Int64(3), Value::String("no")}).ok());
+  EXPECT_FALSE(table.AppendRow(0, Row{Value::Int64(3)}).ok());
+  ASSERT_TRUE(table.AppendRow(0, Row{Value::Int64(4), Value::Int64(5)}).ok());
+  const std::vector<Row> rows = table.partition(0);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[1], (Row{Value::Int64(4), Value::Int64(5)}));
+}
+
+/// Bit pattern of a double, so -0.0 and NaN compare exactly.
+uint64_t Bits(double d) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+TEST(TableTest, RowViewReturnsEveryCellBitForBit) {
+  auto schema = Schema::Make({{"i", DataType::kInt64},
+                              {"d", DataType::kDouble},
+                              {"s", DataType::kString},
+                              {"b", DataType::kBool}});
+  const std::vector<double> doubles = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(), -0.0, 0.0, 1.5};
+  const std::vector<int64_t> ints = {std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max(), 0,
+                                     -1};
+  const std::vector<std::string> strings = {"", std::string(1000, 'q'), "x"};
+  std::vector<Row> expected;
+  for (size_t i = 0; i < 2 * kSqlBatchRows + 3; ++i) {
+    Row row;
+    row.push_back(i % 5 == 0 ? Value::Null() : Value::Int64(ints[i % 4]));
+    row.push_back(i % 7 == 0 ? Value::Null()
+                             : Value::Double(doubles[i % doubles.size()]));
+    row.push_back(i % 3 == 0 ? Value::Null()
+                             : Value::String(strings[i % strings.size()]));
+    row.push_back(i % 11 == 0 ? Value::Null() : Value::Bool(i % 2 == 0));
+    expected.push_back(std::move(row));
+  }
+  Table table("t", schema, 1);
+  for (const Row& row : expected) ASSERT_TRUE(table.AppendRow(0, row).ok());
+  const std::vector<Row> got = table.partition(0);
+  ASSERT_EQ(got.size(), expected.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].size(), expected[i].size());
+    for (size_t c = 0; c < got[i].size(); ++c) {
+      const Value& a = got[i][c];
+      const Value& b = expected[i][c];
+      ASSERT_EQ(a.is_null(), b.is_null()) << "row " << i << " col " << c;
+      if (a.is_null()) continue;
+      ASSERT_EQ(a.type(), b.type()) << "row " << i << " col " << c;
+      if (a.is_double()) {
+        EXPECT_EQ(Bits(a.double_value()), Bits(b.double_value()))
+            << "row " << i;
+      } else {
+        EXPECT_EQ(a, b) << "row " << i << " col " << c;
+      }
+    }
+  }
+  EXPECT_EQ(table.GatherRows().size(), expected.size());
+}
+
+TEST(TableTest, CatalogStatsMatchABoxedRecount) {
+  auto schema = Schema::Make({{"i", DataType::kInt64},
+                              {"d", DataType::kDouble},
+                              {"s", DataType::kString},
+                              {"b", DataType::kBool}});
+  auto table = std::make_shared<Table>("stats", schema, 3);
+  for (size_t i = 0; i < 3 * kSqlBatchRows + 17; ++i) {
+    Row row;
+    row.push_back(i % 9 == 0 ? Value::Null()
+                             : Value::Int64(static_cast<int64_t>(i % 301)));
+    row.push_back(i % 4 == 0 ? Value::Null()
+                             : Value::Double(static_cast<double>(i % 97) / 8));
+    row.push_back(i % 6 == 0 ? Value::Null()
+                             : Value::String(std::string(i % 13, 'v')));
+    row.push_back(i % 10 == 0 ? Value::Null() : Value::Bool(i % 3 == 0));
+    ASSERT_TRUE(table->AppendRow(i % 3, row).ok());
+  }
+  Catalog catalog;
+  catalog.PutTable(table);
+  auto stats = catalog.GetStats("stats");
+  ASSERT_TRUE(stats.ok()) << stats.status();
+
+  // The recount the stats stood for when partitions were boxed rows.
+  const size_t width = static_cast<size_t>(schema->num_fields());
+  std::vector<std::unordered_set<size_t>> hashes(width);
+  std::vector<double> nulls(width, 0);
+  std::vector<double> bytes(width, 0);
+  double rows = 0;
+  for (size_t p = 0; p < table->num_partitions(); ++p) {
+    for (const Row& row : table->partition(p)) {
+      rows += 1;
+      for (size_t c = 0; c < width; ++c) {
+        if (row[c].is_null()) {
+          nulls[c] += 1;
+          continue;
+        }
+        hashes[c].insert(row[c].Hash());
+        bytes[c] += row[c].is_string()
+                        ? 16.0 + static_cast<double>(
+                                     row[c].string_value().size())
+                        : 16.0;
+      }
+    }
+  }
+  EXPECT_EQ((*stats)->row_count, rows);
+  for (size_t c = 0; c < width; ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    const ColumnStats& col = (*stats)->columns[c];
+    EXPECT_EQ(col.distinct_values, static_cast<double>(hashes[c].size()));
+    EXPECT_EQ(col.null_fraction, nulls[c] / rows);
+    EXPECT_EQ(col.avg_bytes, bytes[c] / (rows - nulls[c]));
+  }
+}
+
 TEST(CsvTest, SimpleRoundTrip) {
   CsvCodec codec;
   Schema schema({{"age", DataType::kInt64},
@@ -167,13 +363,6 @@ TEST(RowCodecTest, TruncationDetected) {
   const std::string encoded = RowCodec::EncodeRows(rows);
   auto decoded = RowCodec::DecodeRows(encoded.substr(0, encoded.size() - 3));
   EXPECT_TRUE(decoded.status().IsDataLoss());
-}
-
-TEST(RowCodecTest, HashRowKeySelectsColumns) {
-  Row a{Value::Int64(1), Value::String("x"), Value::Int64(2)};
-  Row b{Value::Int64(9), Value::String("x"), Value::Int64(2)};
-  const std::vector<int> keys{1, 2};
-  EXPECT_EQ(HashRowKey(a, keys), HashRowKey(b, keys));
 }
 
 TEST(PrettyPrintTest, AlignedGridWithTruncation) {
