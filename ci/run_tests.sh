@@ -16,7 +16,8 @@
 #   BUILD_DIR        build directory (default: build)
 #   SQLINK_SANITIZE  thread|address|undefined|none — sanitizer for stage 3,
 #                    in a separate build dir (${BUILD_DIR}-${SQLINK_SANITIZE});
-#                    defaults to thread, "none" disables stages 3 and 4
+#                    defaults to thread, "none" disables stages 3 and 4,
+#                    "address" skips stage 4 (stage 3 covers it)
 #   CTEST_PARALLEL   parallel test jobs (default: nproc)
 
 set -euo pipefail
@@ -198,14 +199,18 @@ if [[ "${SQLINK_SANITIZE}" != "none" ]]; then
   cmake --build "${SAN_DIR}" -j "${JOBS}"
   run_suites "${SAN_DIR}"
 
-  ASAN_DIR="${BUILD_DIR}-asan-sql"
-  ASAN_TESTS=(table_test sql_engine_test sql_differential_test property_test)
-  echo "==> stage 4: AddressSanitizer pass over the storage and SQL suites"
-  cmake -B "${ASAN_DIR}" -S . -DSQLINK_SANITIZE=address
-  cmake --build "${ASAN_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
-  for test in "${ASAN_TESTS[@]}"; do
-    "${ASAN_DIR}/tests/${test}"
-  done
+  # Under SQLINK_SANITIZE=address stage 3 already ran these suites with
+  # ASan.
+  if [[ "${SQLINK_SANITIZE}" != "address" ]]; then
+    ASAN_DIR="${BUILD_DIR}-asan-sql"
+    ASAN_TESTS=(table_test sql_engine_test sql_differential_test property_test)
+    echo "==> stage 4: AddressSanitizer pass over the storage and SQL suites"
+    cmake -B "${ASAN_DIR}" -S . -DSQLINK_SANITIZE=address
+    cmake --build "${ASAN_DIR}" -j "${JOBS}" --target "${ASAN_TESTS[@]}"
+    for test in "${ASAN_TESTS[@]}"; do
+      "${ASAN_DIR}/tests/${test}"
+    done
+  fi
 fi
 
 echo "==> all stages passed"

@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -192,6 +193,56 @@ class JoinHashTable {
   uint64_t mask_ = 0;
 };
 
+/// Assembles the matched pairs of an equi join into output batches and
+/// applies the join's residual predicate; both the hash join probe and the
+/// merge join use it.
+class JoinedPairs {
+ public:
+  JoinedPairs(SchemaPtr schema, BoundExprPtr residual)
+      : schema_(std::move(schema)), residual_(std::move(residual)) {}
+
+  /// Sets `*out` to the pairs (left row left_sel[i], right row right_sel[i]),
+  /// left columns first, that the residual (when set) accepts; false when
+  /// it accepts none.
+  Result<bool> Assemble(const ColumnBatch& left,
+                        const std::vector<int32_t>& left_sel,
+                        const ColumnBatch& right,
+                        const std::vector<int32_t>& right_sel,
+                        ColumnBatch* out) {
+    joined_.Reset(schema_);
+    const size_t left_width = left.num_columns();
+    for (size_t c = 0; c < left_width; ++c) {
+      AppendColumnGather(&joined_.column(c), 0, left.column(c),
+                         left_sel.data(), left_sel.size());
+    }
+    for (size_t c = 0; c < right.num_columns(); ++c) {
+      AppendColumnGather(&joined_.column(left_width + c), 0, right.column(c),
+                         right_sel.data(), right_sel.size());
+    }
+    joined_.SetRowCountForDecode(left_sel.size());
+    if (residual_ != nullptr) {
+      ASSIGN_OR_RETURN(const Column* pred,
+                       EvaluateBatchInPlace(*residual_, joined_, &pred_));
+      FilterToSelection(*pred, joined_.num_rows(), &sel_);
+      if (sel_.empty()) return false;
+      if (sel_.size() < joined_.num_rows()) {
+        out->Reset(schema_);
+        RETURN_IF_ERROR(out->AppendGather(joined_, sel_.data(), sel_.size()));
+        return true;
+      }
+    }
+    *out = std::move(joined_);
+    return true;
+  }
+
+ private:
+  SchemaPtr schema_;
+  BoundExprPtr residual_;
+  ColumnBatch joined_;
+  Column pred_;
+  std::vector<int32_t> sel_;
+};
+
 // ---------------------------------------------------------------------------
 // Pipeline operators (BatchIterator chains over ColumnBatch)
 
@@ -269,9 +320,8 @@ class VectorizedProjectIterator final : public BatchIterator {
 };
 
 /// Vectorized probe side of the hash join: probe keys hash column-at-a-time
-/// against the build index; matched pairs are assembled by gathering probe
-/// columns and build columns, and the residual runs vectorized over the
-/// assembled batch.
+/// against the build index, and JoinedPairs gathers the matched probe and
+/// build rows and runs the residual over them.
 class VectorizedHashJoinIterator final : public BatchIterator {
  public:
   VectorizedHashJoinIterator(BatchIteratorPtr probe,
@@ -281,8 +331,7 @@ class VectorizedHashJoinIterator final : public BatchIterator {
       : probe_(std::move(probe)),
         table_(std::move(table)),
         probe_keys_(probe_keys),
-        residual_(std::move(residual)),
-        output_schema_(std::move(output_schema)) {}
+        pairs_(std::move(output_schema), std::move(residual)) {}
 
   Result<bool> Next(ColumnBatch* out) override {
     for (;;) {
@@ -293,34 +342,10 @@ class VectorizedHashJoinIterator final : public BatchIterator {
       build_sel_.clear();
       table_->Probe(*input, *probe_keys_, &hashes_, &probe_sel_, &build_sel_);
       if (probe_sel_.empty()) continue;
-      const ColumnBatch& build = table_->batch();
-      joined_.Reset(output_schema_);
-      const size_t probe_width = input->num_columns();
-      for (size_t c = 0; c < probe_width; ++c) {
-        AppendColumnGather(&joined_.column(c), 0, input->column(c),
-                           probe_sel_.data(), probe_sel_.size());
-      }
-      for (size_t c = 0; c < build.num_columns(); ++c) {
-        AppendColumnGather(&joined_.column(probe_width + c), 0,
-                           build.column(c), build_sel_.data(),
-                           build_sel_.size());
-      }
-      joined_.SetRowCountForDecode(probe_sel_.size());
-      if (residual_ == nullptr) {
-        *out = std::move(joined_);
-        return true;
-      }
-      ASSIGN_OR_RETURN(const Column* pred,
-                       EvaluateBatchInPlace(*residual_, joined_, &pred_));
-      FilterToSelection(*pred, joined_.num_rows(), &sel_);
-      if (sel_.empty()) continue;
-      if (sel_.size() == joined_.num_rows()) {
-        *out = std::move(joined_);
-        return true;
-      }
-      out->Reset(output_schema_);
-      RETURN_IF_ERROR(out->AppendGather(joined_, sel_.data(), sel_.size()));
-      return true;
+      ASSIGN_OR_RETURN(bool kept,
+                       pairs_.Assemble(*input, probe_sel_, table_->batch(),
+                                       build_sel_, out));
+      if (kept) return true;
     }
   }
 
@@ -328,15 +353,11 @@ class VectorizedHashJoinIterator final : public BatchIterator {
   BatchIteratorPtr probe_;
   std::shared_ptr<const JoinHashTable> table_;
   const std::vector<int>* probe_keys_;
-  BoundExprPtr residual_;
-  SchemaPtr output_schema_;
+  JoinedPairs pairs_;
   ColumnBatch scratch_;
-  ColumnBatch joined_;
-  Column pred_;
   std::vector<uint64_t> hashes_;
   std::vector<int32_t> probe_sel_;
   std::vector<int32_t> build_sel_;
-  std::vector<int32_t> sel_;
 };
 
 /// Pump-side output of a table UDF: whole batches pass through to the queue
@@ -1084,47 +1105,75 @@ Result<BatchIteratorPtr> Executor::BuildBatchPipelineNode(
   }
 }
 
-Result<WorkerBatches> Executor::ExecutePipeline(const PlanPtr& plan) {
+Status Executor::RunPipeline(const PlanPtr& plan, bool sequential,
+                             const BatchConsumer& consume) {
   TraceSpan span("sql.execute");
   span.AddAttribute("workers", num_workers_);
   Stopwatch timer;
   PipelineState state;
-  Status run_status = Prepare(plan, &state);
-
-  WorkerBatches output(static_cast<size_t>(num_workers_));
-  if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(BatchIteratorPtr it,
-                       BuildBatchPipeline(plan, worker, &state));
-      std::vector<ColumnBatch>& out = output[static_cast<size_t>(worker)];
-      ColumnBatch batch;
-      for (;;) {
-        // `sql.exec.batch` paces the pipeline (delay actions) so tests can
-        // hold a query in-flight deterministically; shares the cancellation
-        // poll cadence.
-        (void)SQLINK_FAILPOINT("sql.exec.batch");
-        RETURN_IF_ERROR(CheckCancelled());
-        ASSIGN_OR_RETURN(bool has, it->Next(&batch));
-        if (!has) break;
-        out.push_back(std::move(batch));
+  std::vector<int64_t> rows(static_cast<size_t>(num_workers_), 0);
+  std::atomic<bool> stopped{false};
+  auto pull = [&](int worker) -> Status {
+    ASSIGN_OR_RETURN(BatchIteratorPtr it,
+                     BuildBatchPipeline(plan, worker, &state));
+    ColumnBatch scratch;
+    for (;;) {
+      // `sql.exec.batch` paces the pipeline (delay actions) so tests can
+      // hold a query in-flight deterministically; shares the cancellation
+      // poll cadence.
+      (void)SQLINK_FAILPOINT("sql.exec.batch");
+      RETURN_IF_ERROR(CheckCancelled());
+      const ColumnBatch* view = nullptr;
+      ASSIGN_OR_RETURN(bool has, it->NextView(&scratch, &view));
+      if (!has) return Status::OK();
+      rows[static_cast<size_t>(worker)] +=
+          static_cast<int64_t>(view->num_rows());
+      ASSIGN_OR_RETURN(bool more, consume(worker, PulledBatch{view, &scratch}));
+      if (!more) {
+        stopped = true;
+        return Status::OK();
       }
-      return Status::OK();
-    });
-  }
+    }
+  };
 
+  Status run_status = Prepare(plan, &state);
+  if (run_status.ok() && sequential) {
+    for (int worker = 0; worker < num_workers_ && !stopped && run_status.ok();
+         ++worker) {
+      run_status = pull(worker);
+    }
+  } else if (run_status.ok()) {
+    run_status = ParallelWorkers(num_workers_, pull);
+  }
   // UDF epilogue runs regardless of success so resources are released; its
-  // error surfaces only when the run itself succeeded.
+  // error surfaces only when the run itself succeeded. A UDF interrupted by
+  // an early stop may report a cancelled epilogue; that is expected.
   for (const TableUdfPtr& udf : state.udfs_to_finish) {
     const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
+    if (run_status.ok() && !finish_status.ok() &&
+        !(stopped && finish_status.IsCancelled())) {
+      run_status = finish_status;
+    }
   }
-  const auto rows_emitted = static_cast<int64_t>(TotalRows(output));
+  const int64_t rows_emitted =
+      std::accumulate(rows.begin(), rows.end(), int64_t{0});
   span.AddAttribute("rows", rows_emitted);
   metrics_->GetHistogram("sql.executor.pipeline_micros")
       ->Record(timer.ElapsedMicros());
   if (!run_status.ok()) span.SetError();
   RETURN_IF_ERROR(run_status);
   metrics_->GetCounter("sql.executor.rows_emitted")->Add(rows_emitted);
+  return Status::OK();
+}
+
+Result<WorkerBatches> Executor::ExecutePipeline(const PlanPtr& plan) {
+  WorkerBatches output(static_cast<size_t>(num_workers_));
+  RETURN_IF_ERROR(RunPipeline(
+      plan, /*sequential=*/false,
+      [&](int worker, const PulledBatch& batch) -> Result<bool> {
+        output[static_cast<size_t>(worker)].push_back(batch.Take());
+        return true;
+      }));
   return output;
 }
 
@@ -1214,32 +1263,11 @@ Result<WorkerBatches> Executor::ExecuteMergeJoin(const PlanPtr& plan) {
       ri = rend;
     }
     if (left_sel.empty()) return Status::OK();
-
-    ColumnBatch joined(plan->output_schema);
-    const size_t left_width = left.num_columns();
-    for (size_t c = 0; c < left_width; ++c) {
-      AppendColumnGather(&joined.column(c), 0, left.column(c),
-                         left_sel.data(), left_sel.size());
-    }
-    for (size_t c = 0; c < right.num_columns(); ++c) {
-      AppendColumnGather(&joined.column(left_width + c), 0, right.column(c),
-                         right_sel.data(), right_sel.size());
-    }
-    joined.SetRowCountForDecode(left_sel.size());
-    if (plan->residual != nullptr) {
-      Column scratch;
-      ASSIGN_OR_RETURN(const Column* pred,
-                       EvaluateBatchInPlace(*plan->residual, joined, &scratch));
-      std::vector<int32_t> sel;
-      FilterToSelection(*pred, joined.num_rows(), &sel);
-      if (sel.empty()) return Status::OK();
-      if (sel.size() < joined.num_rows()) {
-        ColumnBatch kept(plan->output_schema);
-        RETURN_IF_ERROR(kept.AppendGather(joined, sel.data(), sel.size()));
-        joined = std::move(kept);
-      }
-    }
-    output[w].push_back(std::move(joined));
+    JoinedPairs pairs(plan->output_schema, plan->residual);
+    ColumnBatch joined;
+    ASSIGN_OR_RETURN(bool kept,
+                     pairs.Assemble(left, left_sel, right, right_sel, &joined));
+    if (kept) output[w].push_back(std::move(joined));
     return Status::OK();
   });
   RETURN_IF_ERROR(run_status);
@@ -1262,72 +1290,64 @@ Result<WorkerBatches> Executor::ExecuteGrouping(const PlanPtr& plan) {
 
   // Phase 1: each worker folds its child pipeline's batches into a local
   // group table; keys and arguments evaluate column-at-a-time.
-  PipelineState state;
-  Status run_status = Prepare(child, &state);
-  std::vector<std::unique_ptr<GroupTable>> partials(n);
-  std::vector<int64_t> rows_in(n, 0);
-  if (run_status.ok()) {
-    run_status = ParallelWorkers(num_workers_, [&](int worker) -> Status {
-      ASSIGN_OR_RETURN(BatchIteratorPtr it,
-                       BuildBatchPipeline(child, worker, &state));
-      std::unique_ptr<GroupTable> table = make_table();
-      std::vector<Column> key_scratch(num_keys);
-      std::vector<Column> arg_scratch(num_aggs);
-      std::vector<const Column*> keys(num_keys);
-      std::vector<const Column*> args(num_aggs, nullptr);
-      ColumnBatch scratch;
-      for (;;) {
-        const ColumnBatch* batch = nullptr;
-        ASSIGN_OR_RETURN(bool has, it->NextView(&scratch, &batch));
-        if (!has) break;
+  struct Partial {
+    std::unique_ptr<GroupTable> table;
+    std::vector<Column> key_scratch;
+    std::vector<Column> arg_scratch;
+    std::vector<const Column*> keys;
+    std::vector<const Column*> args;
+  };
+  std::vector<Partial> partials(n);
+  for (Partial& partial : partials) {
+    partial.table = make_table();
+    partial.key_scratch.resize(num_keys);
+    partial.arg_scratch.resize(num_aggs);
+    partial.keys.resize(num_keys);
+    partial.args.assign(num_aggs, nullptr);
+  }
+  RETURN_IF_ERROR(RunPipeline(
+      child, /*sequential=*/false,
+      [&](int worker, const PulledBatch& pulled) -> Result<bool> {
+        Partial& partial = partials[static_cast<size_t>(worker)];
+        const ColumnBatch& batch = *pulled.view;
         for (size_t k = 0; k < num_keys; ++k) {
           if (distinct) {
-            keys[k] = &batch->column(k);
+            partial.keys[k] = &batch.column(k);
             continue;
           }
-          ASSIGN_OR_RETURN(keys[k], EvaluateBatchInPlace(*plan->group_by[k],
-                                                         *batch,
-                                                         &key_scratch[k]));
+          ASSIGN_OR_RETURN(partial.keys[k],
+                           EvaluateBatchInPlace(*plan->group_by[k], batch,
+                                                &partial.key_scratch[k]));
         }
         for (size_t a = 0; a < num_aggs; ++a) {
           const BoundExprPtr& argument = plan->aggregates[a].argument;
           if (argument == nullptr) continue;
-          ASSIGN_OR_RETURN(args[a], EvaluateBatchInPlace(*argument, *batch,
-                                                         &arg_scratch[a]));
+          ASSIGN_OR_RETURN(partial.args[a],
+                           EvaluateBatchInPlace(*argument, batch,
+                                                &partial.arg_scratch[a]));
         }
-        RETURN_IF_ERROR(table->Accumulate(keys, args, batch->num_rows()));
-        rows_in[static_cast<size_t>(worker)] +=
-            static_cast<int64_t>(batch->num_rows());
-      }
-      partials[static_cast<size_t>(worker)] = std::move(table);
-      return Status::OK();
-    });
-  }
-  for (const TableUdfPtr& udf : state.udfs_to_finish) {
-    const Status finish_status = udf->Finish();
-    if (run_status.ok() && !finish_status.ok()) run_status = finish_status;
-  }
-  RETURN_IF_ERROR(run_status);
-  // The child pipeline's output, as ExecutePipeline counts it for a
-  // materialized result.
-  metrics_->GetCounter("sql.executor.rows_emitted")
-      ->Add(std::accumulate(rows_in.begin(), rows_in.end(), int64_t{0}));
+        RETURN_IF_ERROR(partial.table->Accumulate(partial.keys, partial.args,
+                                                  batch.num_rows()));
+        return true;
+      }));
 
   // Phase 2: route every partial group to a target by key hash (a global
   // aggregate merges on worker 0), then each target merges and finalizes.
   std::vector<std::vector<std::vector<int32_t>>> routed(
       n, std::vector<std::vector<int32_t>>(n));
   for (size_t w = 0; w < n; ++w) {
-    for (size_t g = 0; g < partials[w]->num_groups(); ++g) {
-      const size_t target =
-          num_keys == 0 ? 0 : Scramble(partials[w]->hash(g)) % n;
+    const GroupTable& partial = *partials[w].table;
+    for (size_t g = 0; g < partial.num_groups(); ++g) {
+      const size_t target = num_keys == 0 ? 0 : Scramble(partial.hash(g)) % n;
       routed[w][target].push_back(static_cast<int32_t>(g));
     }
   }
   WorkerBatches output(n);
   ParallelFor(n, [&](size_t t) {
     std::unique_ptr<GroupTable> merged = make_table();
-    for (size_t w = 0; w < n; ++w) merged->Merge(*partials[w], routed[w][t]);
+    for (size_t w = 0; w < n; ++w) {
+      merged->Merge(*partials[w].table, routed[w][t]);
+    }
     // A global aggregate over zero rows still yields one output row.
     if (num_keys == 0 && t == 0 && merged->num_groups() == 0) {
       merged->AddEmptyGroup();
@@ -1370,15 +1390,24 @@ Result<WorkerBatches> Executor::ExecuteSort(const PlanPtr& plan) {
 Result<WorkerBatches> Executor::ExecuteLimit(const PlanPtr& plan) {
   const PlanPtr& child = plan->children[0];
   WorkerBatches output(static_cast<size_t>(num_workers_));
-  int64_t remaining = plan->limit;
-  // Keeps the first `remaining` rows of `batch`, on worker 0.
-  auto take = [&](ColumnBatch batch) {
-    if (static_cast<int64_t>(batch.num_rows()) > remaining) {
-      batch.Truncate(static_cast<size_t>(remaining));
+  auto remaining = static_cast<size_t>(std::max<int64_t>(plan->limit, 0));
+  // Keeps the first `remaining` rows of `batch`, on worker 0; returns
+  // whether more are wanted. A cut batch is sliced into a fresh one, which
+  // keeps only the dictionary entries its rows use.
+  auto take = [&](const PulledBatch& batch) -> Result<bool> {
+    const size_t rows = batch.view->num_rows();
+    if (rows <= remaining) {
+      output[0].push_back(batch.Take());
+      remaining -= rows;
+      return remaining > 0;
     }
-    remaining -= static_cast<int64_t>(batch.num_rows());
-    output[0].push_back(std::move(batch));
+    ColumnBatch head(batch.view->schema());
+    RETURN_IF_ERROR(head.AppendSlice(*batch.view, 0, remaining));
+    output[0].push_back(std::move(head));
+    remaining = 0;
+    return false;
   };
+  if (remaining == 0) return output;
 
   // Early termination: when the child is pipelinable, pull batches worker
   // by worker and stop as soon as the limit is met, instead of computing
@@ -1390,45 +1419,17 @@ Result<WorkerBatches> Executor::ExecuteLimit(const PlanPtr& plan) {
                            child->kind == PlanKind::kHashJoin ||
                            child->kind == PlanKind::kTableUdf;
   if (pipelinable) {
-    PipelineState state;
-    RETURN_IF_ERROR(Prepare(child, &state));
-    Status status;
-    for (int worker = 0; worker < num_workers_ && remaining > 0 && status.ok();
-         ++worker) {
-      auto it = BuildBatchPipeline(child, worker, &state);
-      if (!it.ok()) {
-        status = it.status();
-        break;
-      }
-      ColumnBatch batch;
-      while (remaining > 0) {
-        auto has = (*it)->Next(&batch);
-        if (!has.ok()) {
-          status = has.status();
-          break;
-        }
-        if (!*has) break;
-        take(std::move(batch));
-      }
-    }
-    for (const TableUdfPtr& udf : state.udfs_to_finish) {
-      // A UDF interrupted by the limit may report a cancelled epilogue;
-      // that is expected, everything else surfaces.
-      const Status finish_status = udf->Finish();
-      if (status.ok() && !finish_status.ok() &&
-          !finish_status.IsCancelled()) {
-        status = finish_status;
-      }
-    }
-    RETURN_IF_ERROR(status);
+    RETURN_IF_ERROR(RunPipeline(
+        child, /*sequential=*/true,
+        [&](int, const PulledBatch& batch) { return take(batch); }));
     return output;
   }
 
   ASSIGN_OR_RETURN(WorkerBatches input, Execute(child));
   for (std::vector<ColumnBatch>& worker : input) {
     for (ColumnBatch& batch : worker) {
-      if (remaining <= 0) return output;
-      take(std::move(batch));
+      ASSIGN_OR_RETURN(bool more, take(PulledBatch{&batch, &batch}));
+      if (!more) return output;
     }
   }
   return output;

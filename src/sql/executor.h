@@ -1,6 +1,7 @@
 #ifndef SQLINK_SQL_EXECUTOR_H_
 #define SQLINK_SQL_EXECUTOR_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -71,6 +72,32 @@ class Executor {
   OperatorActuals* NodeActuals(const PlanPtr& plan) const {
     return stats_ == nullptr ? nullptr : stats_->actuals(plan->node_id);
   }
+
+  /// A batch one worker pulled from its pipeline, valid until its next
+  /// pull: a stored chunk or the worker's scratch batch.
+  struct PulledBatch {
+    const ColumnBatch* view;
+    ColumnBatch* scratch;
+    /// The batch as an owned value: moved out of the scratch batch, or a
+    /// copy of the stored chunk.
+    ColumnBatch Take() const {
+      return view == scratch ? std::move(*scratch) : *view;
+    }
+  };
+  /// Receives each pulled batch; returns whether its worker should pull
+  /// more.
+  using BatchConsumer =
+      std::function<Result<bool>(int worker, const PulledBatch& batch)>;
+
+  /// The one driver of a pipeline's workers: prepares `plan`'s blocking
+  /// inputs, then pulls every worker's batches into `consume`, all workers
+  /// in parallel or, when `sequential`, one after another until `consume`
+  /// declines more (LIMIT's early stop). Before each batch it fires the
+  /// `sql.exec.batch` failpoint and checks cancellation. It finishes the
+  /// plan's table UDFs whatever happens and counts the rows pulled in
+  /// `sql.executor.rows_emitted`.
+  Status RunPipeline(const PlanPtr& plan, bool sequential,
+                     const BatchConsumer& consume);
 
   Result<WorkerBatches> ExecuteNode(const PlanPtr& plan);
   Result<WorkerBatches> ExecutePipeline(const PlanPtr& plan);

@@ -55,6 +55,44 @@ Status CheckColumnValue(DataType type, const Value& v,
   return Status::OK();
 }
 
+/// Appends the codes of `n` rows of the string column `src`, row i being
+/// `src` row `row_at(i)`, and adds the entries they reference to `dst`'s
+/// dictionary.
+template <typename RowAt>
+void AppendStringCodes(Column* dst, const Column& src, size_t n,
+                       RowAt row_at) {
+  dst->codes.reserve(dst->codes.size() + n);
+  const auto entries = static_cast<size_t>(src.dict.size());
+  if (entries > n) {
+    // A dictionary larger than the rows taken (a chunk gathered or sliced
+    // out of a big batch): add only the referenced entries, so the result's
+    // dictionary stays proportional to its rows.
+    for (size_t i = 0; i < n; ++i) {
+      const size_t r = row_at(i);
+      dst->codes.push_back(
+          src.IsNull(r) ? 0 : dst->dict.GetOrAdd(src.dict[src.codes[r]]));
+    }
+    return;
+  }
+  if (dst->codes.empty() && dst->dict.empty()) {
+    // Fresh destination: share the (no larger than the rows) dictionary
+    // wholesale and copy the codes.
+    dst->dict = src.dict;
+    for (size_t i = 0; i < n; ++i) dst->codes.push_back(src.codes[row_at(i)]);
+    return;
+  }
+  // Translate per dictionary entry once, then per row.
+  std::vector<int32_t> remap(entries);
+  for (size_t id = 0; id < entries; ++id) {
+    remap[id] = dst->dict.GetOrAdd(src.dict[static_cast<int32_t>(id)]);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = row_at(i);
+    const auto code = static_cast<size_t>(src.codes[r]);
+    dst->codes.push_back(!src.IsNull(r) && code < entries ? remap[code] : 0);
+  }
+}
+
 }  // namespace
 
 Status AppendColumnValue(Column* col, size_t row, const Value& v,
@@ -134,36 +172,9 @@ void AppendColumnGather(Column* dst, size_t dst_rows, const Column& src,
       }
       break;
     case DataType::kString:
-      dst->codes.reserve(dst->codes.size() + n);
-      if (dst->codes.empty() && dst->dict.size() == 0) {
-        // Fresh destination: share the source dictionary wholesale and
-        // gather codes directly (unreferenced entries are harmless).
-        dst->dict = src.dict;
-        for (size_t i = 0; i < n; ++i) {
-          dst->codes.push_back(src.codes[static_cast<size_t>(rows[i])]);
-        }
-      } else if (n < static_cast<size_t>(src.dict.size())) {
-        // Few rows against a big dictionary (single-row dedup inserts):
-        // remap only the referenced entries instead of the whole dict.
-        for (size_t i = 0; i < n; ++i) {
-          const size_t r = static_cast<size_t>(rows[i]);
-          dst->codes.push_back(
-              src.IsNull(r) ? 0 : dst->dict.GetOrAdd(src.dict[src.codes[r]]));
-        }
-      } else {
-        std::vector<int32_t> remap(static_cast<size_t>(src.dict.size()));
-        for (int32_t id = 0; id < src.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = dst->dict.GetOrAdd(src.dict[id]);
-        }
-        for (size_t i = 0; i < n; ++i) {
-          const size_t r = static_cast<size_t>(rows[i]);
-          const int32_t code = src.codes[r];
-          dst->codes.push_back(
-              !src.IsNull(r) && static_cast<size_t>(code) < remap.size()
-                  ? remap[static_cast<size_t>(code)]
-                  : 0);
-        }
-      }
+      AppendStringCodes(dst, src, n, [rows](size_t i) {
+        return static_cast<size_t>(rows[i]);
+      });
       break;
   }
 }
@@ -277,29 +288,10 @@ Status ColumnBatch::AppendSlice(const ColumnBatch& src, size_t begin,
         dst.doubles.insert(dst.doubles.end(), from.doubles.begin() + first,
                            from.doubles.begin() + last);
         break;
-      case DataType::kString: {
-        if (dst.codes.empty() && dst.dict.empty()) {
-          // Fresh destination: share the dictionary, copy the codes.
-          dst.dict = from.dict;
-          dst.codes.insert(dst.codes.end(), from.codes.begin() + first,
-                           from.codes.begin() + last);
-          break;
-        }
-        // Translate per dictionary entry once, then per row.
-        std::vector<int32_t> remap(static_cast<size_t>(from.dict.size()));
-        for (int32_t id = 0; id < from.dict.size(); ++id) {
-          remap[static_cast<size_t>(id)] = dst.dict.GetOrAdd(from.dict[id]);
-        }
-        dst.codes.reserve(dst.codes.size() + n);
-        for (size_t r = begin; r < begin + n; ++r) {
-          const int32_t code = from.codes[r];
-          dst.codes.push_back(
-              !from.IsNull(r) && static_cast<size_t>(code) < remap.size()
-                  ? remap[static_cast<size_t>(code)]
-                  : 0);
-        }
+      case DataType::kString:
+        AppendStringCodes(&dst, from, n,
+                          [begin](size_t i) { return begin + i; });
         break;
-      }
     }
   }
   num_rows_ += n;

@@ -563,6 +563,45 @@ TEST_F(QueryServerTest, DeadlineCancelsSlowQuery) {
   EXPECT_NE(response.status().ToString().find("deadline"), std::string::npos);
 }
 
+TEST_F(QueryServerTest, DeadlineCancelsSlowAggregateQuery) {
+  // A grouping pulls its input through the same paced, cancellable
+  // pipeline driver as a plain scan.
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  ASSERT_TRUE(pace.status().ok());
+  for (const char* sql :
+       {"SELECT COUNT(*), SUM(feature) FROM points",
+        "SELECT id, COUNT(*) FROM points GROUP BY id"}) {
+    auto client = QueryClient::Connect("127.0.0.1", server->port());
+    ASSERT_TRUE(client.ok());
+    auto response = client->Execute(sql, "", /*deadline_ms=*/40);
+    ASSERT_FALSE(response.ok()) << sql;
+    EXPECT_TRUE(response.status().IsCancelled()) << response.status();
+    EXPECT_NE(response.status().ToString().find("deadline"),
+              std::string::npos);
+  }
+}
+
+TEST_F(QueryServerTest, ClientCancelFrameCancelsInFlightAggregateQuery) {
+  auto server = StartServer();
+  ASSERT_NE(server, nullptr);
+  ScopedFailpoint pace("sql.exec.batch", "delay(20)");
+  ASSERT_TRUE(pace.status().ok());
+  auto client = QueryClient::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      client->Submit("SELECT id, COUNT(*) FROM points GROUP BY id").ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(client->Cancel().ok());
+  auto response = client->Await();
+  ASSERT_FALSE(response.ok());
+  EXPECT_TRUE(response.status().IsCancelled()) << response.status();
+  EXPECT_NE(response.status().ToString().find("cancelled by client"),
+            std::string::npos);
+  EXPECT_EQ(server->admission()->active(), 0);
+}
+
 TEST_F(QueryServerTest, DisconnectCancelsQueryAndFreesSlot) {
   QueryServer::Options options;
   options.admission.max_concurrent = 1;  // The slot must actually free up.

@@ -271,6 +271,57 @@ TEST_F(SqlEngineTest, RepartitionJoinMatchesBroadcast) {
   EXPECT_EQ(broadcast.size(), 4u);
 }
 
+size_t StoredBytes(const Table& table) {
+  size_t total = 0;
+  for (size_t p = 0; p < table.num_partitions(); ++p) {
+    for (const ColumnBatch& chunk : table.batches(p)) total += chunk.ByteSize();
+  }
+  return total;
+}
+
+TEST_F(SqlEngineTest, ResultChunksStayLinearInTheirRows) {
+  // Unique strings through every operator that cuts output chunks out of a
+  // bigger batch: sort, hash join (the build side's strings), sort-merge
+  // join and a grouping with more than kSqlBatchRows groups per worker.
+  // Each stored chunk must hold only its own strings, so the result's bytes
+  // stay within a small factor of its inputs'.
+  const int64_t n = 16 * static_cast<int64_t>(kSqlBatchRows);
+  auto words = engine_->MakeTable(
+      "words", Schema::Make({{"id", DataType::kInt64},
+                             {"word", DataType::kString}}));
+  auto tags = engine_->MakeTable(
+      "tags", Schema::Make({{"id", DataType::kInt64},
+                            {"tag", DataType::kString}}));
+  for (int64_t i = 0; i < n; ++i) {
+    const auto p = static_cast<size_t>(i) % words->num_partitions();
+    ASSERT_TRUE(words->AppendRow(p, Row{Value::Int64(i),
+                                        Value::String("word-" +
+                                                      std::to_string(i))})
+                    .ok());
+    ASSERT_TRUE(tags->AppendRow(p, Row{Value::Int64(i),
+                                       Value::String("tag-" +
+                                                     std::to_string(i))})
+                    .ok());
+  }
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(words).ok());
+  ASSERT_TRUE(engine_->catalog()->RegisterTable(tags).ok());
+  const size_t input_bytes = StoredBytes(*words) + StoredBytes(*tags);
+
+  auto expect_linear = [&](const std::string& sql) {
+    auto result = engine_->ExecuteSql(sql);
+    ASSERT_TRUE(result.ok()) << sql << " -> " << result.status();
+    EXPECT_EQ((*result)->TotalRows(), static_cast<size_t>(n)) << sql;
+    EXPECT_LE(StoredBytes(**result), input_bytes) << sql;
+  };
+  expect_linear("SELECT word, tag FROM words W, tags T WHERE W.id = T.id");
+  expect_linear("SELECT word, id FROM words ORDER BY word DESC");
+  expect_linear("SELECT word, COUNT(*) FROM words GROUP BY word");
+  expect_linear("SELECT DISTINCT word FROM words");
+  engine_->set_join_strategy(JoinStrategy::kSortMerge);
+  expect_linear("SELECT word, tag FROM words W, tags T WHERE W.id = T.id");
+  engine_->set_join_strategy(JoinStrategy::kAuto);
+}
+
 TEST_F(SqlEngineTest, RepartitionJoinMultiKeyAndNulls) {
   auto t = engine_->MakeTable("pairs",
                               Schema::Make({{"x", DataType::kInt64},

@@ -165,6 +165,38 @@ TEST(TableTest, AppendBatchKeepsChunksWithinTheBatchSize) {
   EXPECT_EQ(table.TotalRows(), total);
 }
 
+TEST(TableTest, ChunksCutFromABigBatchKeepOnlyTheirOwnStrings) {
+  // One batch of unique strings, NULL every 7th row: slicing it into
+  // chunks, or gathering a few of its rows, must not copy its whole
+  // dictionary into each piece.
+  auto schema = Schema::Make({{"s", DataType::kString}});
+  const size_t n = 3 * kSqlBatchRows + 100;
+  ColumnBatch big(schema);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(big.AppendRow(Row{i % 7 == 0 ? Value::Null()
+                                             : Value::String("value-" +
+                                                             std::to_string(i))})
+                    .ok());
+  }
+  Table table("t", schema, 1);
+  ASSERT_TRUE(table.AppendBatch(0, big).ok());
+  ASSERT_EQ(table.batches(0).size(), 4u);
+  for (const ColumnBatch& chunk : table.batches(0)) {
+    EXPECT_LE(static_cast<size_t>(chunk.column(0).dict.size()),
+              chunk.num_rows());
+  }
+  EXPECT_EQ(table.partition(0), big.ToRows());
+
+  const std::vector<int32_t> rows = {5, 7, 2000, 5, static_cast<int32_t>(n - 2)};
+  ColumnBatch gathered(schema);
+  ASSERT_TRUE(gathered.AppendGather(big, rows.data(), rows.size()).ok());
+  EXPECT_EQ(gathered.column(0).dict.size(), 3);  // 7 is NULL, 5 repeats.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(gathered.ValueAt(i, 0),
+              big.ValueAt(static_cast<size_t>(rows[i]), 0));
+  }
+}
+
 TEST(TableTest, RejectedRowLeavesThePartitionUnchanged) {
   auto schema =
       Schema::Make({{"x", DataType::kInt64}, {"y", DataType::kInt64}});
